@@ -14,8 +14,25 @@
 //! 4. after the last column, the primitive feedback polynomial `m(s)` is
 //!    chosen such that the remaining excitation `y₁ = s₁⁺ ⊕ m(s)` causes the
 //!    fewest additional implicant splits.
+//!
+//! Candidate columns are `Vec<bool>` indexed by state: their lexicographic
+//! order breaks cost ties in the beam and seeds the candidate generator.
+//! They are rated as state sets (`u64` words, see [`crate::cost`]); the
+//! improvement sweep keeps the packed copy of the column it flips in step
+//! with the `Vec<bool>` and carries the cost of the current column from one
+//! flip to the next.  Every candidate is rated, but only the beam states
+//! that survive the cut to `branch_width` are refined into new implicant
+//! groups.
+//!
+//! The improvement sweep runs only on machines with at most 32 states.  With
+//! the bitset kernel it would take milliseconds on the largest suite machine
+//! (scf), but lifting the cap changes the encodings, and with them the
+//! product terms and literals of every larger machine, so it is a quality
+//! change to be made and measured on its own.
 
-use crate::cost::{column_cost, symbolic_implicants, ColumnCost, CostWeights, SymbolicImplicant};
+use crate::cost::{
+    members, pack, symbolic_implicants, toggle, CostModel, CostWeights, SymbolicImplicant,
+};
 use crate::{Result, StateEncoding};
 use stfsm_fsm::Fsm;
 use stfsm_lfsr::{primitive_polynomials, Gf2Poly, Gf2Vec, Misr};
@@ -124,6 +141,14 @@ struct BeamState {
     cost: f64,
 }
 
+/// A rated candidate: the columns of beam state `parent` plus one, before
+/// its implicant groups are refined.
+struct Extension {
+    parent: usize,
+    columns: Vec<Vec<bool>>,
+    cost: f64,
+}
+
 /// Runs the MISR-targeted state assignment on a machine.
 ///
 /// The returned encoding always uses the minimum number of state bits unless
@@ -137,6 +162,7 @@ pub fn assign(fsm: &Fsm, config: &MisrAssignmentConfig) -> MisrAssignment {
         .max(fsm.min_state_bits());
     let initial_groups = symbolic_implicants(fsm);
     let initial_implicants = initial_groups.len();
+    let model = CostModel::new(fsm);
 
     let mut beam = vec![BeamState {
         columns: Vec::new(),
@@ -145,24 +171,28 @@ pub fn assign(fsm: &Fsm, config: &MisrAssignmentConfig) -> MisrAssignment {
     }];
 
     for column_index in 0..bits {
-        let mut extended: Vec<BeamState> = Vec::new();
-        for state in &beam {
-            let candidates = candidate_partitions(fsm, state, bits, column_index, config);
+        let packed: Vec<Vec<Vec<u64>>> = beam
+            .iter()
+            .map(|state| state.columns.iter().map(|c| pack(c)).collect())
+            .collect();
+        let mut extended: Vec<Extension> = Vec::new();
+        for (parent, (state, assigned)) in beam.iter().zip(&packed).enumerate() {
+            let prev = assigned.last().map(Vec::as_slice);
+            let candidates =
+                candidate_partitions(fsm, &model, state, assigned, bits, column_index, config);
             for candidate in candidates {
-                let prev = state.columns.last().map(Vec::as_slice);
-                let cost: ColumnCost = column_cost(
-                    fsm,
+                let cost = model.rate(
                     &state.groups,
                     prev,
-                    &state.columns,
-                    &candidate,
+                    assigned,
+                    &pack(&candidate),
                     &config.weights,
                 );
                 let mut columns = state.columns.clone();
                 columns.push(candidate);
-                extended.push(BeamState {
+                extended.push(Extension {
+                    parent,
                     columns,
-                    groups: cost.refined_groups,
                     cost: state.cost + cost.total,
                 });
             }
@@ -177,7 +207,18 @@ pub fn assign(fsm: &Fsm, config: &MisrAssignmentConfig) -> MisrAssignment {
         });
         extended.dedup_by(|a, b| a.columns == b.columns);
         extended.truncate(config.branch_width.max(1));
-        beam = extended;
+        beam = extended
+            .into_iter()
+            .map(|e| {
+                let prev = packed[e.parent].last().map(Vec::as_slice);
+                let new = pack(e.columns.last().expect("a column was just added"));
+                BeamState {
+                    groups: model.refine(&beam[e.parent].groups, prev, &new),
+                    columns: e.columns,
+                    cost: e.cost,
+                }
+            })
+            .collect();
     }
 
     // Turn the surviving beam states into complete assignments (encoding +
@@ -348,7 +389,9 @@ pub fn pst_product_terms(fsm: &Fsm, encoding: &StateEncoding, misr: &Misr) -> us
 /// still distinguishable by the remaining columns.
 fn candidate_partitions(
     fsm: &Fsm,
+    model: &CostModel,
     state: &BeamState,
+    assigned: &[Vec<u64>],
     bits: usize,
     column_index: usize,
     config: &MisrAssignmentConfig,
@@ -404,42 +447,39 @@ fn candidate_partitions(
     }
 
     // Local improvement: flip single states (within feasibility) if it lowers
-    // the cost of this column.  For very large machines the quadratic sweep
-    // is skipped; the seeded candidates alone keep the search tractable.
+    // the cost of this column.  For machines above 32 states the sweep is
+    // skipped (see the module docs); the seeded candidates alone keep the
+    // search tractable.
     let improvement_passes = if n > 32 { 0 } else { config.improvement_passes };
-    let prev = state.columns.last().map(Vec::as_slice);
+    let prev = assigned.last().map(Vec::as_slice);
+    let rate = |column: &[u64]| {
+        model
+            .rate(&state.groups, prev, assigned, column, &config.weights)
+            .total
+    };
     for candidate in &mut candidates {
+        if improvement_passes == 0 {
+            break;
+        }
+        let mut packed = pack(candidate);
+        let mut current = rate(&packed);
         for _ in 0..improvement_passes {
             let mut improved = false;
             for s in 0..n {
-                let current = column_cost(
-                    fsm,
-                    &state.groups,
-                    prev,
-                    &state.columns,
-                    candidate,
-                    &config.weights,
-                )
-                .total;
                 candidate[s] = !candidate[s];
+                toggle(&mut packed, s);
                 let feasible = partition_is_feasible(&prefix_groups, candidate, capacity);
                 let flipped = if feasible {
-                    column_cost(
-                        fsm,
-                        &state.groups,
-                        prev,
-                        &state.columns,
-                        candidate,
-                        &config.weights,
-                    )
-                    .total
+                    rate(&packed)
                 } else {
                     f64::INFINITY
                 };
                 if flipped + 1e-12 < current {
                     improved = true;
+                    current = flipped;
                 } else {
                     candidate[s] = !candidate[s];
+                    toggle(&mut packed, s);
                 }
             }
             if !improved {
@@ -478,11 +518,11 @@ fn implicant_driven_partition(
     };
 
     let mut implicants: Vec<&SymbolicImplicant> = state.groups.iter().collect();
-    implicants.sort_by_key(|g| std::cmp::Reverse(g.present_states.len()));
+    implicants.sort_by_key(|g| std::cmp::Reverse(g.state_count()));
     for implicant in implicants {
         // Decide a side for the whole implicant: the side with more already
         // assigned members, defaulting to 0.
-        let members: Vec<usize> = implicant.present_states.iter().copied().collect();
+        let members: Vec<usize> = members(&implicant.present_states).collect();
         let zeros = members
             .iter()
             .filter(|&&s| assigned[s] && !column[s])

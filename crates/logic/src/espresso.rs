@@ -7,8 +7,90 @@
 //! semantics of an encoded FSM transition table, where unused state codes and
 //! unspecified input combinations may be used freely by the optimizer — the
 //! effect the paper's synthesis procedures exploit (Section 2.3).
+//!
+//! EXPAND tests every raised literal and every added output against the
+//! whole OFF-set, so [`minimize_with`] packs the OFF-set into `u64` words
+//! once (`PackedCubes`) and keeps a packed copy of the cube it expands:
+//!
+//! * each input takes two bits, 32 inputs per word: bit `2v` set means the
+//!   literal admits 0, bit `2v + 1` that it admits 1 (`0` → `01`,
+//!   `1` → `10`, `-` → `11`), and the fields past the last input read `11`;
+//!   two input parts meet when no 2-bit field of their AND is `00`;
+//! * each output takes one bit, 64 outputs per word; two cubes share an
+//!   output when their output words AND to something non-zero.
+//!
+//! The test is the same predicate as [`Cube::intersects`], so EXPAND makes
+//! the same decisions on words that it would on `Vec<Trit>`.
 
 use crate::{Cover, Cube, Pla, Trit};
+
+/// The low bit of every 2-bit input field.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Cubes packed for the intersection test of EXPAND (see the module docs).
+#[derive(Debug)]
+struct PackedCubes {
+    input_words: usize,
+    output_words: usize,
+    /// `input_words` input words then `output_words` output words per cube.
+    words: Vec<u64>,
+}
+
+impl PackedCubes {
+    /// Packs every cube of `cover`.
+    fn new(cover: &Cover) -> Self {
+        let mut packed = Self {
+            input_words: cover.num_inputs().div_ceil(32),
+            output_words: cover.num_outputs().div_ceil(64),
+            words: Vec::new(),
+        };
+        for cube in cover.cubes() {
+            let row = packed.pack(cube);
+            packed.words.extend(row);
+        }
+        packed
+    }
+
+    /// One cube in the layout of the packed cubes.
+    fn pack(&self, cube: &Cube) -> Vec<u64> {
+        let mut row = vec![u64::MAX; self.input_words];
+        for (v, &t) in cube.inputs().iter().enumerate() {
+            set_input_field(&mut row, v, t);
+        }
+        row.extend(std::iter::repeat_n(0, self.output_words));
+        for (j, _) in cube.outputs().iter().enumerate().filter(|(_, &o)| o) {
+            row[self.input_words + j / 64] |= 1 << (j % 64);
+        }
+        row
+    }
+
+    /// Whether the packed `cube` intersects any of the packed cubes, in the
+    /// sense of [`Cube::intersects`].
+    fn any_intersects(&self, cube: &[u64]) -> bool {
+        let (inputs, outputs) = cube.split_at(self.input_words);
+        self.words
+            .chunks_exact(self.input_words + self.output_words)
+            .any(|other| {
+                let (other_inputs, other_outputs) = other.split_at(self.input_words);
+                outputs.iter().zip(other_outputs).any(|(a, b)| a & b != 0)
+                    && inputs.iter().zip(other_inputs).all(|(a, b)| {
+                        let meet = a & b;
+                        (meet | meet >> 1) & LOW_BITS == LOW_BITS
+                    })
+            })
+    }
+}
+
+/// Writes the 2-bit field of input `v` (see the module docs).
+fn set_input_field(row: &mut [u64], v: usize, value: Trit) {
+    let field: u64 = match value {
+        Trit::Zero => 0b01,
+        Trit::One => 0b10,
+        Trit::DontCare => 0b11,
+    };
+    let shift = 2 * (v % 32);
+    row[v / 32] = (row[v / 32] & !(0b11 << shift)) | field << shift;
+}
 
 /// Tuning knobs of the minimizer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +173,7 @@ pub fn minimize(pla: &Pla) -> MinimizeResult {
 /// Minimizes a specification with an explicit configuration.
 pub fn minimize_with(pla: &Pla, config: &MinimizeConfig) -> MinimizeResult {
     let mut cover = pla.on_cover();
-    let off = pla.off_cover();
+    let off = PackedCubes::new(&pla.off_cover());
     let initial_cubes = cover.len();
 
     let passes = config.passes.max(1);
@@ -116,7 +198,7 @@ pub fn minimize_with(pla: &Pla, config: &MinimizeConfig) -> MinimizeResult {
 /// EXPAND: raise literals of every cube to don't-care (and optionally grow
 /// the output set) as long as the cube stays disjoint from the OFF-set of
 /// every output it drives.
-fn expand(cover: &mut Cover, off: &Cover, output_expansion: bool, reverse_order: bool) {
+fn expand(cover: &mut Cover, off: &PackedCubes, output_expansion: bool, reverse_order: bool) {
     let num_inputs = cover.num_inputs();
     let num_outputs = cover.num_outputs();
 
@@ -130,15 +212,18 @@ fn expand(cover: &mut Cover, off: &Cover, output_expansion: bool, reverse_order:
 
     for &idx in &order {
         let mut cube = cover.cubes()[idx].clone();
+        let mut packed = off.pack(&cube);
         // Try to raise each specified input literal.
         for v in 0..num_inputs {
-            if matches!(cube.input(v), Trit::DontCare) {
+            let saved = cube.input(v);
+            if matches!(saved, Trit::DontCare) {
                 continue;
             }
-            let saved = cube.input(v);
-            cube.set_input(v, Trit::DontCare);
-            if conflicts_with_off(&cube, off) {
-                cube.set_input(v, saved);
+            set_input_field(&mut packed, v, Trit::DontCare);
+            if off.any_intersects(&packed) {
+                set_input_field(&mut packed, v, saved);
+            } else {
+                cube.set_input(v, Trit::DontCare);
             }
         }
         // Try to add further outputs.
@@ -147,19 +232,17 @@ fn expand(cover: &mut Cover, off: &Cover, output_expansion: bool, reverse_order:
                 if cube.output(j) {
                     continue;
                 }
-                cube.set_output(j, true);
-                if conflicts_with_off(&cube, off) {
-                    cube.set_output(j, false);
+                let (word, bit) = (off.input_words + j / 64, 1u64 << (j % 64));
+                packed[word] |= bit;
+                if off.any_intersects(&packed) {
+                    packed[word] &= !bit;
+                } else {
+                    cube.set_output(j, true);
                 }
             }
         }
         cover.cubes_mut()[idx] = cube;
     }
-}
-
-/// Whether the cube intersects the OFF-set of any output it drives.
-fn conflicts_with_off(cube: &Cube, off: &Cover) -> bool {
-    off.cubes().iter().any(|o| o.intersects(cube))
 }
 
 /// IRREDUNDANT: greedily drop cubes that are entirely covered by the rest of
@@ -360,6 +443,74 @@ mod tests {
         assert_eq!(r.product_terms(), 3);
         assert_eq!(r.literals(), 6);
         assert!(verify(&p, &r.cover));
+    }
+
+    /// A pseudo-random cube over `inputs` inputs and `outputs` outputs.
+    fn random_cube(next: &mut impl FnMut() -> u64, inputs: usize, outputs: usize) -> Cube {
+        let trits = (0..inputs)
+            .map(|_| match next() % 5 {
+                0 => Trit::Zero,
+                1 => Trit::One,
+                _ => Trit::DontCare,
+            })
+            .collect();
+        let outs = (0..outputs).map(|_| next().is_multiple_of(23)).collect();
+        Cube::new(trits, outs)
+    }
+
+    #[test]
+    fn packed_intersection_matches_cube_intersects() {
+        let mut state = 0x000f_f5e7_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut hits = 0;
+        for (inputs, outputs) in [(1, 1), (5, 3), (32, 64), (33, 65), (47, 70), (70, 130)] {
+            let cubes: Vec<Cube> = (0..40)
+                .map(|_| random_cube(&mut next, inputs, outputs))
+                .collect();
+            let cover = Cover::from_cubes(inputs, outputs, cubes.clone()).unwrap();
+            let packed = PackedCubes::new(&cover);
+            for probe in (0..200).map(|_| random_cube(&mut next, inputs, outputs)) {
+                let expected = cubes.iter().any(|o| o.intersects(&probe));
+                assert_eq!(packed.any_intersects(&packed.pack(&probe)), expected);
+                hits += usize::from(expected);
+                // One cube at a time, so every cube is checked on its own.
+                for (i, other) in cubes.iter().enumerate() {
+                    let single = Cover::from_cubes(inputs, outputs, vec![other.clone()]).unwrap();
+                    let single = PackedCubes::new(&single);
+                    assert_eq!(
+                        single.any_intersects(&single.pack(&probe)),
+                        other.intersects(&probe),
+                        "cube {i} of {inputs}x{outputs}"
+                    );
+                }
+            }
+        }
+        assert!(hits > 0);
+    }
+
+    #[test]
+    fn packed_fields_follow_the_literals() {
+        let cover = Cover::from_cubes(
+            34,
+            2,
+            vec![Cube::parse("01-01-01-01-01-01-01-01-01-01-01-0", "10").unwrap()],
+        )
+        .unwrap();
+        let packed = PackedCubes::new(&cover);
+        assert_eq!((packed.input_words, packed.output_words), (2, 1));
+        // Inputs 0, 1, 2 are 0, 1, -; inputs 32, 33 are -, 0 and the fields
+        // past them read 11.
+        assert_eq!(packed.words[0] & 0b11_1111, 0b11_10_01);
+        assert_eq!(packed.words[1], u64::MAX << 4 | 0b01_11);
+        assert_eq!(packed.words[2], 0b01);
+        let mut row = packed.words[..3].to_vec();
+        set_input_field(&mut row, 33, Trit::One);
+        assert_eq!(row[1] & 0b1111, 0b10_11);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! accepts *wait* (backpressure) rather than spawning unboundedly.
 //! Shutdown is cooperative: [`DiagnosisServer::shutdown`] raises a flag,
 //! unblocks the acceptor with a loopback connection, then joins the
-//! acceptor and waits for in-flight connections to drain.
+//! acceptor and waits for in-flight connections to drain.  Dropping the
+//! server does the same but for the wait: the port closes, and the
+//! connections already accepted finish on their own threads.
 
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -86,9 +88,9 @@ impl Pool {
     }
 }
 
-/// A running diagnosis server.  Dropping it without calling
-/// [`DiagnosisServer::shutdown`] leaves the acceptor thread running for
-/// the life of the process — call `shutdown` for a clean stop.
+/// A running diagnosis server.  Dropping it stops and joins the acceptor
+/// thread, which closes the listening port; [`DiagnosisServer::shutdown`]
+/// also waits for the in-flight connections to finish.
 #[derive(Debug)]
 pub struct DiagnosisServer {
     local_addr: std::net::SocketAddr,
@@ -129,17 +131,30 @@ impl DiagnosisServer {
         self.local_addr
     }
 
-    /// Stops accepting, waits for in-flight connections to finish, joins
-    /// the acceptor thread.
+    /// Stops accepting, joins the acceptor thread, waits for in-flight
+    /// connections to finish.
     pub fn shutdown(mut self) {
+        self.stop_acceptor();
+        self.pool.wait_idle();
+    }
+
+    /// Stops accepting and joins the acceptor thread, which drops the
+    /// listener.  Idempotent.
+    fn stop_acceptor(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor with a throwaway loopback connection; it
         // re-checks the flag per accept.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        self.pool.wait_idle();
+        let _ = acceptor.join();
+    }
+}
+
+impl Drop for DiagnosisServer {
+    fn drop(&mut self) {
+        self.stop_acceptor();
     }
 }
 
@@ -196,5 +211,28 @@ fn serve_connection(
             Err(error) => Response::Error(error.to_string()),
         };
         write_frame(&mut writer, &response.encode())?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Catalog, DiagnosisClient, DiagnosisService};
+
+    #[test]
+    fn a_dropped_server_closes_its_port() {
+        let service = DiagnosisService::new(Catalog::new());
+        let server =
+            DiagnosisServer::start("127.0.0.1:0", service.handle(), ServerConfig::default())
+                .expect("server start");
+        let addr = server.local_addr();
+        let mut client = DiagnosisClient::connect(addr).expect("connect");
+        client.ping().expect("ping");
+        drop(server);
+        // The connection accepted before the drop is still served ...
+        client.ping().expect("in-flight connection");
+        // ... but the port takes no new ones.
+        let error = TcpStream::connect(addr).expect_err("port closed");
+        assert_eq!(error.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 }

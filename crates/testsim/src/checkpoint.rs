@@ -587,6 +587,9 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Parses a checkpoint.  The counts in the file only bound loops that
+/// consume input, and every list grows one parsed record at a time, so
+/// memory stays proportional to the input whatever the counts claim.
 fn parse(text: &str, path: &Path) -> Result<CampaignCheckpoint, CampaignError> {
     let mut p = Parser {
         path,
@@ -615,7 +618,7 @@ fn parse(text: &str, path: &Path) -> Result<CampaignCheckpoint, CampaignError> {
     };
     let stimulus_generated = p.usize_field("stimulus_generated")?;
     let segment_count = p.usize_field("segments")?;
-    let mut segments = Vec::with_capacity(segment_count);
+    let mut segments = Vec::new();
     for _ in 0..segment_count {
         let line = p.field("segment")?;
         let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -627,7 +630,7 @@ fn parse(text: &str, path: &Path) -> Result<CampaignCheckpoint, CampaignError> {
         let detection_line = p.field("detections")?;
         let mut tokens = detection_line.split_whitespace();
         let count = p.usize_token(tokens.next().unwrap_or(""))?;
-        let mut detections = Vec::with_capacity(count);
+        let mut detections = Vec::new();
         for _ in 0..count {
             let fault = tokens
                 .next()
@@ -673,7 +676,7 @@ fn parse(text: &str, path: &Path) -> Result<CampaignCheckpoint, CampaignError> {
             let state_token = p.field("reference_state")?;
             let reference_state = p.bits_token(state_token)?;
             let survivor_count = p.usize_field("survivors")?;
-            let mut survivors = Vec::with_capacity(survivor_count);
+            let mut survivors = Vec::new();
             for _ in 0..survivor_count {
                 let line = p.field("survivor")?;
                 let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -699,7 +702,7 @@ fn parse(text: &str, path: &Path) -> Result<CampaignCheckpoint, CampaignError> {
             let seg_line = p.field("reference_segments")?;
             let mut tokens = seg_line.split_whitespace();
             let count = p.usize_token(tokens.next().unwrap_or(""))?;
-            let mut reference_segments = Vec::with_capacity(count);
+            let mut reference_segments = Vec::new();
             for _ in 0..count {
                 let token = tokens
                     .next()
@@ -707,7 +710,7 @@ fn parse(text: &str, path: &Path) -> Result<CampaignCheckpoint, CampaignError> {
                 reference_segments.push(p.hex_token(token)?);
             }
             let lane_count = p.usize_field("lanes")?;
-            let mut lanes = Vec::with_capacity(lane_count);
+            let mut lanes = Vec::new();
             for _ in 0..lane_count {
                 let line = p.field("lane")?;
                 let mut tokens = line.split_whitespace();
@@ -726,7 +729,7 @@ fn parse(text: &str, path: &Path) -> Result<CampaignCheckpoint, CampaignError> {
                 let signature = p.hex_token(next(&p)?)?;
                 let state = p.bits_token(next(&p)?)?;
                 let seg_count = p.usize_token(next(&p)?)?;
-                let mut segments = Vec::with_capacity(seg_count);
+                let mut segments = Vec::new();
                 for _ in 0..seg_count {
                     segments.push(p.hex_token(next(&p)?)?);
                 }
@@ -890,6 +893,41 @@ mod tests {
         let drifted = text.replacen("metrics 25", "metrics 24", 1);
         let err = parse(&drifted, Path::new("t.ckpt")).expect_err("count");
         assert!(err.to_string().contains("counters"));
+    }
+
+    #[test]
+    fn inflated_counts_are_typed_errors_not_allocations() {
+        // Seven lines whose `segments` count would reserve petabytes.
+        let header = format!(
+            "{HEADER} v{FORMAT_VERSION}\ndigest 00000000000000ff\nengine packed\n\
+             max_patterns 64\npass detect\nstimulus_generated 64\n"
+        );
+        let probe = format!("{header}segments 100000000000000\n");
+        assert_eq!(probe.lines().count(), 7);
+        let err = parse(&probe, Path::new("t.ckpt")).expect_err("inflated segments");
+        assert!(matches!(err, CampaignError::CheckpointFormat { .. }));
+        // The same for every other count the decoder reads.
+        let inflated = [
+            "segments 1\nsegment 0 64\ndetections 100000000000000\n".to_string(),
+            "segments 0\nsnapshot detect\nreference_state b0\nsurvivors 100000000000000\n"
+                .to_string(),
+            "segments 0\nsnapshot signatures\ngood_state b0\nreference_signature 0\n\
+             reference_segments 100000000000000\n"
+                .to_string(),
+            "segments 0\nsnapshot signatures\ngood_state b0\nreference_signature 0\n\
+             reference_segments 0\nlanes 100000000000000\n"
+                .to_string(),
+            "segments 0\nsnapshot signatures\ngood_state b0\nreference_signature 0\n\
+             reference_segments 0\nlanes 1\nlane 0 - - 0 b0 100000000000000\n"
+                .to_string(),
+        ];
+        for tail in inflated {
+            let err = parse(&format!("{header}{tail}"), Path::new("t.ckpt")).expect_err(&tail);
+            assert!(
+                matches!(err, CampaignError::CheckpointFormat { .. }),
+                "{tail}"
+            );
+        }
     }
 
     #[test]
