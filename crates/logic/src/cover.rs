@@ -1,4 +1,4 @@
-//! Covers (sets of cubes) and the unate-recursive tautology test.
+//! Covers (sets of cubes) and the recursive tautology test.
 
 use crate::{Cube, Error, Result, Trit};
 use std::fmt;
@@ -153,36 +153,9 @@ impl Cover {
         self.cubes.retain(|c| !c.is_output_empty());
     }
 
-    /// Removes cubes that are covered by another single cube of the cover
-    /// (single-cube containment).
-    pub fn remove_single_cube_containment(&mut self) {
-        let mut keep = vec![true; self.cubes.len()];
-        for i in 0..self.cubes.len() {
-            if !keep[i] {
-                continue;
-            }
-            for j in 0..self.cubes.len() {
-                if i == j || !keep[j] {
-                    continue;
-                }
-                if self.cubes[j].covers(&self.cubes[i])
-                    && !(self.cubes[i].covers(&self.cubes[j]) && j > i)
-                {
-                    keep[i] = false;
-                    break;
-                }
-            }
-        }
-        let mut idx = 0;
-        self.cubes.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-    }
-
-    /// Unate-recursive tautology check for a *single-output* cover: does the
-    /// union of the input parts cover the entire input space?
+    /// Recursive (Shannon-split) tautology check for a *single-output*
+    /// cover: does the union of the input parts cover the entire input
+    /// space?
     ///
     /// Cubes whose output part is all-zero are ignored; all other cubes
     /// participate regardless of which outputs they drive, so callers should
@@ -201,8 +174,10 @@ impl Cover {
         if cubes.iter().any(|c| c.literal_count() == 0) {
             return true;
         }
-        // Cheap necessary condition: the minterm counts must add up to at
-        // least 2^n (with saturation).
+        // Cheap necessary condition on the minterm counts (saturating).
+        // `num_inputs` drops by one per split while every cube keeps the
+        // split variables as don't-cares, so the sum is compared with
+        // 2^(n - depth): a valid test, weaker than the 2^n it could use.
         if num_inputs < 63 {
             let needed = 1u128 << num_inputs;
             let mut total: u128 = 0;
@@ -216,10 +191,11 @@ impl Cover {
                 return false;
             }
         }
-        // Unate reduction: if some variable appears only in one polarity, all
-        // cubes specifying it can never help cover the opposite half-space,
-        // so the cover is a tautology iff the cover without those cubes is.
-        // (Standard unate tautology argument.)
+        // Split variable: the binate variable with the largest
+        // min(zeros, ones), the lowest on a tie; in a cover with no binate
+        // variable, the lowest variable any cube specifies.  There is no
+        // unate shortcut: a unate cover is split like any other until each
+        // cofactor holds a universal cube or runs out of cubes.
         let mut selected = None;
         let mut best_binate = 0usize;
         for v in 0..cubes[0].num_inputs() {
@@ -411,21 +387,6 @@ mod tests {
         assert!(c.covers_cube(&Cube::parse("11", "01").unwrap()));
         assert!(!c.covers_cube(&Cube::parse("1-", "01").unwrap()));
         assert!(!c.covers_cube(&Cube::parse("--", "11").unwrap()));
-    }
-
-    #[test]
-    fn single_cube_containment_removal() {
-        let mut c = cover(
-            3,
-            1,
-            &[("010", "1"), ("01-", "1"), ("0--", "1"), ("1--", "1")],
-        );
-        c.remove_single_cube_containment();
-        assert_eq!(c.len(), 2);
-        // duplicates: exactly one copy survives
-        let mut d = cover(2, 1, &[("01", "1"), ("01", "1")]);
-        d.remove_single_cube_containment();
-        assert_eq!(d.len(), 1);
     }
 
     #[test]

@@ -8,30 +8,64 @@
 //! unspecified input combinations may be used freely by the optimizer — the
 //! effect the paper's synthesis procedures exploit (Section 2.3).
 //!
-//! EXPAND tests every raised literal and every added output against the
-//! whole OFF-set, so [`minimize_with`] packs the OFF-set into `u64` words
-//! once (`PackedCubes`) and keeps a packed copy of the cube it expands:
+//! # The packed working cover
+//!
+//! [`minimize_with`] packs the ON-cover and the OFF-set into `u64` words once
+//! (`PackedCubes`), runs every pass of EXPAND, single-cube containment and
+//! IRREDUNDANT on those words, and unpacks the result into [`Cube`]s at the
+//! end:
 //!
 //! * each input takes two bits, 32 inputs per word: bit `2v` set means the
 //!   literal admits 0, bit `2v + 1` that it admits 1 (`0` → `01`,
 //!   `1` → `10`, `-` → `11`), and the fields past the last input read `11`;
-//!   two input parts meet when no 2-bit field of their AND is `00`;
-//! * each output takes one bit, 64 outputs per word; two cubes share an
-//!   output when their output words AND to something non-zero.
+//! * each output takes one bit, 64 outputs per word.
 //!
-//! The test is the same predicate as [`Cube::intersects`], so EXPAND makes
-//! the same decisions on words that it would on `Vec<Trit>`.
+//! Two cubes meet when no 2-bit input field of their AND is `00` and their
+//! output words share a bit (the predicate of [`Cube::intersects`]); a cube
+//! covers another when it has every bit the other has (the predicate of
+//! [`Cube::covers`]).  EXPAND tests every raised literal and every added
+//! output against the whole OFF-set with the first, containment removal
+//! compares cubes with the second.
+//!
+//! IRREDUNDANT drops a cube when the rest of the cover covers it on every
+//! output it drives.  For one output that is a tautology question: the cubes
+//! of the rest that drive the output and meet the candidate, each cofactored
+//! against the candidate, must cover the whole input space.  The cofactor is
+//! an OR with the candidate's specified-field mask (`11` in every field the
+//! candidate specifies), which frees the variables the candidate fixes.  The
+//! tautology test is unate-recursive, on the same words:
+//!
+//! * no cubes: not a tautology; a universal cube (every field `11`): a
+//!   tautology;
+//! * no binate variable (none appears in both polarities): not a tautology,
+//!   since the point that sets every variable against the one polarity it
+//!   appears in lies in no cube — the unate rule of Brayton et al., *Logic
+//!   Minimization Algorithms for VLSI Synthesis* (1984);
+//! * otherwise split on the most binate variable (the binate variable
+//!   specified in the most cubes, the lowest one on a tie): both halves, each
+//!   a copy of the cubes that admit the value with the variable freed, must be
+//!   tautologies.  Each recursion depth reuses one scratch buffer.
+//!
+//! Every test answers exactly what the scalar predicate answers, so each pass
+//! makes the decisions it would make on `Vec<Trit>` cubes.  [`verify`] keeps
+//! the scalar [`Cover::covers_cube`] so that it checks the minimizer with code
+//! the minimizer does not share.
 
 use crate::{Cover, Cube, Pla, Trit};
+use std::cmp::Reverse;
 
 /// The low bit of every 2-bit input field.
 const LOW_BITS: u64 = 0x5555_5555_5555_5555;
 
-/// Cubes packed for the intersection test of EXPAND (see the module docs).
+/// Cubes packed into words (see the module docs).
 #[derive(Debug)]
 struct PackedCubes {
+    num_inputs: usize,
+    num_outputs: usize,
     input_words: usize,
     output_words: usize,
+    /// Number of cubes; a cube of no inputs and no outputs takes no words.
+    len: usize,
     /// `input_words` input words then `output_words` output words per cube.
     words: Vec<u64>,
 }
@@ -40,8 +74,11 @@ impl PackedCubes {
     /// Packs every cube of `cover`.
     fn new(cover: &Cover) -> Self {
         let mut packed = Self {
+            num_inputs: cover.num_inputs(),
+            num_outputs: cover.num_outputs(),
             input_words: cover.num_inputs().div_ceil(32),
             output_words: cover.num_outputs().div_ceil(64),
+            len: cover.len(),
             words: Vec::new(),
         };
         for cube in cover.cubes() {
@@ -64,21 +101,105 @@ impl PackedCubes {
         row
     }
 
+    /// Words per cube.
+    fn stride(&self) -> usize {
+        self.input_words + self.output_words
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.words[i * self.stride()..(i + 1) * self.stride()]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        let stride = self.stride();
+        &mut self.words[i * stride..(i + 1) * stride]
+    }
+
+    /// Number of specified input literals of cube `i`.
+    fn literal_count(&self, i: usize) -> usize {
+        let dont_cares: u32 = self.row(i)[..self.input_words]
+            .iter()
+            .map(|w| (w & (w >> 1) & LOW_BITS).count_ones())
+            .sum();
+        32 * self.input_words - dont_cares as usize
+    }
+
     /// Whether the packed `cube` intersects any of the packed cubes, in the
     /// sense of [`Cube::intersects`].
     fn any_intersects(&self, cube: &[u64]) -> bool {
         let (inputs, outputs) = cube.split_at(self.input_words);
-        self.words
-            .chunks_exact(self.input_words + self.output_words)
-            .any(|other| {
-                let (other_inputs, other_outputs) = other.split_at(self.input_words);
-                outputs.iter().zip(other_outputs).any(|(a, b)| a & b != 0)
-                    && inputs.iter().zip(other_inputs).all(|(a, b)| {
-                        let meet = a & b;
-                        (meet | meet >> 1) & LOW_BITS == LOW_BITS
-                    })
-            })
+        // Without outputs no cubes share one, and there are no words to scan.
+        self.words.chunks_exact(self.stride().max(1)).any(|other| {
+            let (other_inputs, other_outputs) = other.split_at(self.input_words);
+            outputs.iter().zip(other_outputs).any(|(a, b)| a & b != 0)
+                && inputs_meet(inputs, other_inputs)
+        })
     }
+
+    /// Keeps the cubes `i` for which `keep(i)` holds, in order.
+    fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        let stride = self.stride();
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(i) {
+                self.words
+                    .copy_within(i * stride..(i + 1) * stride, kept * stride);
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        self.words.truncate(kept * stride);
+    }
+
+    /// Removes every cube that another single cube covers; of two equal
+    /// cubes the first stays.
+    fn remove_contained(&mut self) {
+        let covers = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(a, b)| b & !a == 0);
+        let mut keep = vec![true; self.len];
+        for i in 0..self.len {
+            keep[i] = !(0..self.len).any(|j| {
+                j != i
+                    && keep[j]
+                    && covers(self.row(j), self.row(i))
+                    && !(j > i && covers(self.row(i), self.row(j)))
+            });
+        }
+        self.retain(|i| keep[i]);
+    }
+
+    /// The cubes as a [`Cover`].
+    fn unpack(&self) -> Cover {
+        let cubes = (0..self.len)
+            .map(|i| {
+                let row = self.row(i);
+                let inputs = (0..self.num_inputs)
+                    .map(|v| match row[v / 32] >> (2 * (v % 32)) & 0b11 {
+                        0b01 => Trit::Zero,
+                        0b10 => Trit::One,
+                        _ => Trit::DontCare,
+                    })
+                    .collect();
+                let outputs = (0..self.num_outputs)
+                    .map(|j| row[self.input_words + j / 64] >> (j % 64) & 1 == 1)
+                    .collect();
+                Cube::new(inputs, outputs)
+            })
+            .collect();
+        Cover::from_cubes(self.num_inputs, self.num_outputs, cubes).expect("dimensions preserved")
+    }
+}
+
+/// Whether two packed input parts share a point: no field of their AND is
+/// `00`.
+fn inputs_meet(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(a, b)| {
+        let meet = a & b;
+        (meet | meet >> 1) & LOW_BITS == LOW_BITS
+    })
 }
 
 /// Writes the 2-bit field of input `v` (see the module docs).
@@ -92,6 +213,160 @@ fn set_input_field(row: &mut [u64], v: usize, value: Trit) {
     row[v / 32] = (row[v / 32] & !(0b11 << shift)) | field << shift;
 }
 
+/// The covering test of IRREDUNDANT and its scratch space, which is reused
+/// from one test to the next (see the module docs).
+#[derive(Debug, Default)]
+struct CoverCheck {
+    /// Cubes of the rest of the cover that meet the candidate.
+    meeting: Vec<usize>,
+    /// The candidate's specified-field mask.
+    mask: Vec<u64>,
+    /// Cofactored input parts, one buffer per recursion depth.
+    levels: Vec<Vec<u64>>,
+    /// Fields holding a literal 0 in some cube at hand, one bit per field.
+    zeros: Vec<u64>,
+    /// Fields holding a literal 1 in some cube, then the binate fields.
+    binate: Vec<u64>,
+    /// Literals per binate variable.
+    counts: Vec<u32>,
+}
+
+impl CoverCheck {
+    /// Whether the cubes `i` of `cover` with `skip(i)` false cover the packed
+    /// `cube` on every output it drives, in the sense of
+    /// [`Cover::covers_cube`].
+    fn covers(&mut self, cover: &PackedCubes, cube: &[u64], skip: impl Fn(usize) -> bool) -> bool {
+        let input_words = cover.input_words;
+        let (inputs, outputs) = cube.split_at(input_words);
+        self.meeting.clear();
+        self.meeting.extend(
+            (0..cover.len())
+                .filter(|&i| !skip(i) && inputs_meet(inputs, &cover.row(i)[..input_words])),
+        );
+        self.mask.clear();
+        self.mask.extend(inputs.iter().map(|w| {
+            let specified = !(w & (w >> 1)) & LOW_BITS;
+            specified | specified << 1
+        }));
+        if self.levels.is_empty() {
+            self.levels.push(Vec::new());
+        }
+        for (k, &word) in outputs.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let mut driving = 0;
+                let level = &mut self.levels[0];
+                level.clear();
+                for &i in &self.meeting {
+                    let row = cover.row(i);
+                    if row[input_words + k] & bit != 0 {
+                        driving += 1;
+                        level.extend(
+                            row[..input_words]
+                                .iter()
+                                .zip(&self.mask)
+                                .map(|(w, m)| w | m),
+                        );
+                    }
+                }
+                // Without inputs every driving cube is universal.
+                let covered = match (driving, input_words) {
+                    (0, _) => false,
+                    (_, 0) => true,
+                    _ => self.tautology(input_words, 0),
+                };
+                if !covered {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Whether the input parts in `levels[depth]`, `stride` words each, cover
+    /// the whole input space.
+    fn tautology(&mut self, stride: usize, depth: usize) -> bool {
+        let cubes = &self.levels[depth];
+        if cubes.is_empty() {
+            return false;
+        }
+        if cubes
+            .chunks_exact(stride)
+            .any(|c| c.iter().all(|&w| w == u64::MAX))
+        {
+            return true;
+        }
+        let Some(v) = self.most_binate(stride, depth) else {
+            return false;
+        };
+        if self.levels.len() == depth + 1 {
+            self.levels.push(Vec::new());
+        }
+        let (word, shift) = (v / 32, 2 * (v % 32));
+        for half in [0b01, 0b10] {
+            let (lower, upper) = self.levels.split_at_mut(depth + 1);
+            let next = &mut upper[0];
+            next.clear();
+            for c in lower[depth].chunks_exact(stride) {
+                if c[word] >> shift & half != 0 {
+                    next.extend_from_slice(c);
+                    let freed = next.len() - stride + word;
+                    next[freed] |= 0b11 << shift;
+                }
+            }
+            if !self.tautology(stride, depth + 1) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The binate variable of `levels[depth]` specified in the most cubes,
+    /// the lowest on a tie; `None` if the cubes are unate.
+    fn most_binate(&mut self, stride: usize, depth: usize) -> Option<usize> {
+        let cubes = &self.levels[depth];
+        self.zeros.clear();
+        self.zeros.resize(stride, 0);
+        self.binate.clear();
+        self.binate.resize(stride, 0);
+        for c in cubes.chunks_exact(stride) {
+            for ((z, b), w) in self.zeros.iter_mut().zip(&mut self.binate).zip(c) {
+                // Fields `01` (literal 0) and `10` (literal 1).
+                *z |= w & !(w >> 1) & LOW_BITS;
+                *b |= (w >> 1) & !w & LOW_BITS;
+            }
+        }
+        let mut any = false;
+        for (b, z) in self.binate.iter_mut().zip(&self.zeros) {
+            *b &= z;
+            any |= *b != 0;
+        }
+        if !any {
+            return None;
+        }
+        self.counts.clear();
+        self.counts.resize(32 * stride, 0);
+        for c in cubes.chunks_exact(stride) {
+            for (k, (w, b)) in c.iter().zip(&self.binate).enumerate() {
+                let mut specified = !(w & (w >> 1)) & b;
+                while specified != 0 {
+                    self.counts[32 * k + specified.trailing_zeros() as usize / 2] += 1;
+                    specified &= specified - 1;
+                }
+            }
+        }
+        let (mut best, mut best_count) = (None, 0);
+        for (v, &count) in self.counts.iter().enumerate() {
+            if count > best_count {
+                (best, best_count) = (Some(v), count);
+            }
+        }
+        best
+    }
+}
+
 /// Tuning knobs of the minimizer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinimizeConfig {
@@ -99,31 +374,18 @@ pub struct MinimizeConfig {
     /// ordering).  Two passes give near-espresso quality on controller-sized
     /// covers; one pass is noticeably faster for huge sweeps.
     pub passes: usize,
-    /// Whether cubes may also expand in the output part (sharing product
-    /// terms between outputs).
-    pub output_expansion: bool,
-    /// Whether the redundant-cube removal step runs.
-    pub irredundant: bool,
 }
 
 impl Default for MinimizeConfig {
     fn default() -> Self {
-        Self {
-            passes: 2,
-            output_expansion: true,
-            irredundant: true,
-        }
+        Self { passes: 2 }
     }
 }
 
 impl MinimizeConfig {
     /// A faster single-pass configuration for large parameter sweeps.
     pub fn fast() -> Self {
-        Self {
-            passes: 1,
-            output_expansion: true,
-            irredundant: true,
-        }
+        Self { passes: 1 }
     }
 }
 
@@ -172,19 +434,19 @@ pub fn minimize(pla: &Pla) -> MinimizeResult {
 
 /// Minimizes a specification with an explicit configuration.
 pub fn minimize_with(pla: &Pla, config: &MinimizeConfig) -> MinimizeResult {
-    let mut cover = pla.on_cover();
+    let mut cover = PackedCubes::new(&pla.on_cover());
     let off = PackedCubes::new(&pla.off_cover());
     let initial_cubes = cover.len();
 
+    let mut check = CoverCheck::default();
     let passes = config.passes.max(1);
     for pass in 0..passes {
-        expand(&mut cover, &off, config.output_expansion, pass % 2 == 1);
-        cover.remove_single_cube_containment();
-        if config.irredundant {
-            irredundant(&mut cover);
-        }
+        expand(&mut cover, &off, pass % 2 == 1);
+        cover.remove_contained();
+        irredundant(&mut cover, &mut check);
     }
 
+    let cover = cover.unpack();
     let stats = MinimizeStats {
         initial_cubes,
         final_cubes: cover.len(),
@@ -195,53 +457,45 @@ pub fn minimize_with(pla: &Pla, config: &MinimizeConfig) -> MinimizeResult {
     MinimizeResult { cover, stats }
 }
 
-/// EXPAND: raise literals of every cube to don't-care (and optionally grow
-/// the output set) as long as the cube stays disjoint from the OFF-set of
-/// every output it drives.
-fn expand(cover: &mut Cover, off: &PackedCubes, output_expansion: bool, reverse_order: bool) {
-    let num_inputs = cover.num_inputs();
-    let num_outputs = cover.num_outputs();
-
+/// EXPAND: raise literals of every cube to don't-care and grow its output
+/// set as long as the cube stays disjoint from the OFF-set of every output
+/// it drives.
+fn expand(cover: &mut PackedCubes, off: &PackedCubes, reverse_order: bool) {
     // Process the most specific cubes first (they profit most from
     // expansion); alternate the ordering between passes for diversity.
     let mut order: Vec<usize> = (0..cover.len()).collect();
-    order.sort_by_key(|&i| cover.cubes()[i].literal_count());
+    order.sort_by_key(|&i| cover.literal_count(i));
     if reverse_order {
         order.reverse();
     }
 
+    let mut cube = vec![0; cover.stride()];
     for &idx in &order {
-        let mut cube = cover.cubes()[idx].clone();
-        let mut packed = off.pack(&cube);
+        cube.copy_from_slice(cover.row(idx));
         // Try to raise each specified input literal.
-        for v in 0..num_inputs {
-            let saved = cube.input(v);
-            if matches!(saved, Trit::DontCare) {
+        for v in 0..cover.num_inputs {
+            let (word, field) = (v / 32, 0b11 << (2 * (v % 32)));
+            let saved = cube[word];
+            if saved & field == field {
                 continue;
             }
-            set_input_field(&mut packed, v, Trit::DontCare);
-            if off.any_intersects(&packed) {
-                set_input_field(&mut packed, v, saved);
-            } else {
-                cube.set_input(v, Trit::DontCare);
+            cube[word] |= field;
+            if off.any_intersects(&cube) {
+                cube[word] = saved;
             }
         }
         // Try to add further outputs.
-        if output_expansion {
-            for j in 0..num_outputs {
-                if cube.output(j) {
-                    continue;
-                }
-                let (word, bit) = (off.input_words + j / 64, 1u64 << (j % 64));
-                packed[word] |= bit;
-                if off.any_intersects(&packed) {
-                    packed[word] &= !bit;
-                } else {
-                    cube.set_output(j, true);
-                }
+        for j in 0..cover.num_outputs {
+            let (word, bit) = (cover.input_words + j / 64, 1u64 << (j % 64));
+            if cube[word] & bit != 0 {
+                continue;
+            }
+            cube[word] |= bit;
+            if off.any_intersects(&cube) {
+                cube[word] &= !bit;
             }
         }
-        cover.cubes_mut()[idx] = cube;
+        cover.row_mut(idx).copy_from_slice(&cube);
     }
 }
 
@@ -249,34 +503,19 @@ fn expand(cover: &mut Cover, off: &PackedCubes, output_expansion: bool, reverse_
 /// the cover.  (This is a sufficient condition for removability; parts of a
 /// cube reaching into the global don't-care space would not strictly need to
 /// be covered, so the result is conservative but always correct.)
-fn irredundant(cover: &mut Cover) {
+fn irredundant(cover: &mut PackedCubes, check: &mut CoverCheck) {
     // Removing large cubes first tends to keep the prime cubes produced by
     // EXPAND and drop the leftovers they absorbed.
     let mut order: Vec<usize> = (0..cover.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(cover.cubes()[i].literal_count()));
+    order.sort_by_key(|&i| Reverse(cover.literal_count(i)));
 
     let mut removed = vec![false; cover.len()];
     for &idx in &order {
-        let candidate = cover.cubes()[idx].clone();
-        let rest: Vec<Cube> = cover
-            .cubes()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != idx && !removed[*i])
-            .map(|(_, c)| c.clone())
-            .collect();
-        let rest_cover = Cover::from_cubes(cover.num_inputs(), cover.num_outputs(), rest)
-            .expect("dimensions preserved");
-        if rest_cover.covers_cube(&candidate) {
+        if check.covers(cover, cover.row(idx), |i| i == idx || removed[i]) {
             removed[idx] = true;
         }
     }
-    let mut idx = 0;
-    cover.cubes_mut().retain(|_| {
-        let keep = !removed[idx];
-        idx += 1;
-        keep
-    });
+    cover.retain(|i| !removed[i]);
 }
 
 /// Exact verification that a cover implements a specification:
@@ -303,7 +542,6 @@ pub fn verify(pla: &Pla, cover: &Cover) -> bool {
     }
     true
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,21 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn output_expansion_can_be_disabled() {
-        let p = pla(
-            2,
-            2,
-            &[("11", "1-"), ("11", "-1"), ("0-", "00"), ("10", "00")],
-        );
-        let cfg = MinimizeConfig {
-            output_expansion: false,
-            ..MinimizeConfig::default()
-        };
-        let r = minimize_with(&p, &cfg);
-        assert!(verify(&p, &r.cover));
-    }
-
-    #[test]
     fn fast_config_still_verifies() {
         let p = pla(
             4,
@@ -445,6 +668,16 @@ mod tests {
         assert!(verify(&p, &r.cover));
     }
 
+    /// A seeded xorshift generator.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
     /// A pseudo-random cube over `inputs` inputs and `outputs` outputs.
     fn random_cube(next: &mut impl FnMut() -> u64, inputs: usize, outputs: usize) -> Cube {
         let trits = (0..inputs)
@@ -460,13 +693,7 @@ mod tests {
 
     #[test]
     fn packed_intersection_matches_cube_intersects() {
-        let mut state = 0x000f_f5e7_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x000f_f5e7);
         let mut hits = 0;
         for (inputs, outputs) in [(1, 1), (5, 3), (32, 64), (33, 65), (47, 70), (70, 130)] {
             let cubes: Vec<Cube> = (0..40)
@@ -491,6 +718,140 @@ mod tests {
             }
         }
         assert!(hits > 0);
+    }
+
+    /// `cube` split on random free inputs into at most `pieces` disjoint
+    /// cubes that together cover it: a binate cover of the cube.
+    fn split(next: &mut impl FnMut() -> u64, cube: &Cube, pieces: usize) -> Vec<Cube> {
+        let mut split = vec![cube.clone()];
+        while split.len() < pieces {
+            let i = next() as usize % split.len();
+            let free: Vec<usize> = (0..cube.num_inputs())
+                .filter(|&v| split[i].input(v) == Trit::DontCare)
+                .collect();
+            if free.is_empty() {
+                break;
+            }
+            let v = free[next() as usize % free.len()];
+            let mut half = split[i].clone();
+            split[i].set_input(v, Trit::Zero);
+            half.set_input(v, Trit::One);
+            split.push(half);
+        }
+        split
+    }
+
+    #[test]
+    fn packed_covering_matches_covers_cube() {
+        let mut next = xorshift(0x0c0f_fee5);
+        let mut check = CoverCheck::default();
+        let (mut covered, mut uncovered) = (0, 0);
+        for inputs in [0, 1, 5, 31, 32, 33, 64, 65, 70] {
+            for outputs in [1, 2, 65, 130] {
+                for trial in 0..32 {
+                    let mut probe = random_cube(&mut next, inputs, outputs);
+                    probe.set_output(next() as usize % outputs, true);
+                    let mut cubes = match trial % 4 {
+                        0 => Vec::new(),
+                        // Unate: positive literals only.
+                        1 => (0..6)
+                            .map(|_| {
+                                let mut cube = random_cube(&mut next, inputs, outputs);
+                                for v in 0..inputs {
+                                    if cube.input(v) == Trit::Zero {
+                                        cube.set_input(v, Trit::One);
+                                    }
+                                }
+                                cube.set_output(
+                                    probe.outputs().iter().position(|&o| o).unwrap(),
+                                    true,
+                                );
+                                cube
+                            })
+                            .collect(),
+                        // Binate: the probe split into pieces, plus noise.
+                        kind => {
+                            let count = 1 + next() as usize % 12;
+                            let mut pieces = split(&mut next, &probe, count);
+                            if kind == 3 {
+                                pieces.extend(
+                                    (0..4).map(|_| random_cube(&mut next, inputs, outputs)),
+                                );
+                            }
+                            pieces
+                        }
+                    };
+                    if trial & 4 != 0 && !cubes.is_empty() {
+                        // Raise a literal of one cube: still a cover.
+                        let i = next() as usize % cubes.len();
+                        if inputs > 0 {
+                            cubes[i].set_input(next() as usize % inputs, Trit::DontCare);
+                        }
+                    }
+                    if trial & 8 != 0 && !cubes.is_empty() {
+                        // Take one output or one cube away: a gap.
+                        let i = next() as usize % cubes.len();
+                        if next().is_multiple_of(2) {
+                            cubes.remove(i);
+                        } else {
+                            cubes[i].set_output(next() as usize % outputs, false);
+                        }
+                    }
+                    if trial & 16 != 0 {
+                        let outs = (0..outputs).map(|_| !next().is_multiple_of(4)).collect();
+                        cubes.push(Cube::universal(inputs, outs));
+                    }
+                    let cover = Cover::from_cubes(inputs, outputs, cubes).unwrap();
+                    let packed = PackedCubes::new(&cover);
+                    let row = packed.pack(&probe);
+                    let expected = cover.covers_cube(&probe);
+                    let case = format!("{inputs}x{outputs}, trial {trial}: {probe} in\n{cover}");
+                    assert_eq!(check.covers(&packed, &row, |_| false), expected, "{case}");
+                    if expected {
+                        covered += 1;
+                    } else {
+                        uncovered += 1;
+                    }
+                    // Skipping a cube answers for the cover without it.
+                    if !cover.is_empty() {
+                        let skip = next() as usize % cover.len();
+                        let mut rest = cover.clone();
+                        rest.cubes_mut().remove(skip);
+                        assert_eq!(
+                            check.covers(&packed, &row, |i| i == skip),
+                            rest.covers_cube(&probe),
+                            "{case} without cube {skip}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            covered > 200 && uncovered > 200,
+            "{covered} covered, {uncovered} not"
+        );
+    }
+
+    #[test]
+    fn single_cube_containment_removal() {
+        let contained = |rows: &[(&str, &str)]| {
+            let cubes = rows
+                .iter()
+                .map(|(i, o)| Cube::parse(i, o).unwrap())
+                .collect();
+            let mut packed = PackedCubes::new(
+                &Cover::from_cubes(rows[0].0.len(), rows[0].1.len(), cubes).unwrap(),
+            );
+            packed.remove_contained();
+            packed.unpack()
+        };
+        let c = contained(&[("010", "1"), ("01-", "1"), ("0--", "1"), ("1--", "1")]);
+        assert_eq!(c.to_string(), "0-- 1\n1-- 1\n");
+        // Of duplicates exactly the first copy survives.
+        let d = contained(&[("01", "01"), ("0-", "10"), ("01", "01"), ("01", "11")]);
+        assert_eq!(d.to_string(), "0- 10\n01 11\n");
+        let e = contained(&[("01", "01"), ("0-", "10"), ("01", "01")]);
+        assert_eq!(e.to_string(), "01 01\n0- 10\n");
     }
 
     #[test]
