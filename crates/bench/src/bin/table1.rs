@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rows = table1_rows(&fsm, &config, with_coverage)?;
         for row in rows {
             println!(
-                "{:<12} {:<5} {:>6} {:>9} {:>8} {:>5} {:>5} {:>5} {:>10} {:>8.1}% {:>9}",
+                "{:<12} {:<5} {:>6} {:>9} {:>8} {:>5} {:>5} {:>5} {:>10} {:>9} {:>9}",
                 row.benchmark,
                 row.structure,
                 row.product_terms,
@@ -45,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 } else {
                     "partial"
                 },
-                row.fault_coverage.map(|c| c * 100.0).unwrap_or(f64::NAN),
+                row.fault_coverage
+                    .map_or_else(|| "-".into(), |c| format!("{:.1}%", c * 100.0)),
                 row.test_length
                     .map(|t| t.to_string())
                     .unwrap_or_else(|| "-".into())

@@ -1,39 +1,17 @@
-//! Shared helpers for the benchmark harness: machine selection, experiment
-//! configurations tuned for criterion timing runs and for the
-//! table-reproduction binaries.
+//! Shared helpers of the paper-reproduction binaries (`table1`–`table3`,
+//! `coverage`, `ablation`): machine selection by the `--full` flag and the
+//! experiment configuration of the tables.
+//!
+//! The repository's performance benchmark is `perfbench/` (see
+//! `BENCHMARK.json`); nothing here is timed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod seed_baseline;
-
 use stfsm::encode::misr::MisrAssignmentConfig;
 use stfsm::experiments::ExperimentConfig;
-use stfsm::fsm::suite::{benchmark, quick_benchmarks, BenchmarkInfo, BENCHMARKS};
-use stfsm::fsm::Fsm;
+use stfsm::fsm::suite::{quick_benchmarks, BenchmarkInfo, BENCHMARKS};
 use stfsm::logic::espresso::MinimizeConfig;
-
-/// Machines used by the criterion timing benches: small enough for sub-second
-/// iterations, still representative of the paper's controller workloads.
-pub fn timing_machines() -> Vec<Fsm> {
-    let mut machines = vec![
-        stfsm::fsm::suite::fig3_example().expect("fixed machine"),
-        stfsm::fsm::suite::modulo12_exact().expect("fixed machine"),
-        stfsm::fsm::suite::traffic_light().expect("fixed machine"),
-    ];
-    if let Some(info) = benchmark("dk512") {
-        machines.push(info.fsm().expect("generator succeeds"));
-    }
-    machines
-}
-
-/// A medium-size machine for scaling studies (the `ex4`-shaped controller).
-pub fn medium_machine() -> Fsm {
-    benchmark("ex4")
-        .expect("suite entry")
-        .fsm()
-        .expect("generator succeeds")
-}
 
 /// The benchmark set selected by a `--full` flag: the whole suite when full,
 /// otherwise the small/medium subset.
@@ -55,42 +33,9 @@ pub fn table_config(full: bool) -> ExperimentConfig {
     }
 }
 
-/// The configuration used inside criterion timing loops (single-pass
-/// minimizer, narrow beam) so one iteration stays in the millisecond range.
-pub fn timing_config() -> ExperimentConfig {
-    ExperimentConfig {
-        random_encodings: 3,
-        minimizer: MinimizeConfig::fast(),
-        misr: MisrAssignmentConfig::fast(),
-        max_patterns: 256,
-        fault_sample: 2,
-        ..ExperimentConfig::default()
-    }
-}
-
 /// Returns `true` if the command line of a binary contains `--full`.
 pub fn full_flag() -> bool {
     std::env::args().any(|a| a == "--full")
-}
-
-/// Runs `f` `runs` times and returns the last result together with the best
-/// (minimum) wall-clock time in nanoseconds — the timing discipline of the
-/// acceptance binaries (best-of-N damps the ~20 % run-to-run noise).
-///
-/// # Panics
-///
-/// Panics if `runs` is zero.
-pub fn best_of<T>(runs: u32, mut f: impl FnMut() -> T) -> (T, f64) {
-    assert!(runs > 0, "best_of needs at least one run");
-    let mut best_ns = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..runs {
-        let start = std::time::Instant::now();
-        let value = std::hint::black_box(f());
-        best_ns = best_ns.min(start.elapsed().as_nanos() as f64);
-        result = Some(value);
-    }
-    (result.expect("runs > 0"), best_ns)
 }
 
 #[cfg(test)]
@@ -99,11 +44,8 @@ mod tests {
 
     #[test]
     fn helpers_produce_machines() {
-        assert!(timing_machines().len() >= 3);
-        assert!(medium_machine().state_count() >= 10);
         assert!(selected_benchmarks(false).len() < selected_benchmarks(true).len());
         assert_eq!(table_config(true).random_encodings, 50);
         assert_eq!(table_config(false).random_encodings, 15);
-        assert_eq!(timing_config().random_encodings, 3);
     }
 }

@@ -1,7 +1,7 @@
 //! Experiment drivers reproducing the paper's evaluation.
 //!
 //! Each driver corresponds to one table/figure of the paper (see the
-//! per-experiment index in `DESIGN.md`):
+//! experiment index in README.md, "Reproduction notes"):
 //!
 //! * [`table1_rows`] — structure comparison (quantified Table 1),
 //! * [`table2_row`] — PST/SIG state assignment vs. random encodings

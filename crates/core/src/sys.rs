@@ -1,4 +1,4 @@
-//! Host-process introspection shared by the bench bins and the trace
+//! Host-process introspection shared by perfbench and the trace
 //! layer.
 
 /// The process peak resident set size (the `VmHWM` line of

@@ -134,8 +134,8 @@ pub fn symbolic_implicants(fsm: &Fsm) -> Vec<SymbolicImplicant> {
     groups
 }
 
-/// Weights of the two incompatibility terms (the ablation of `DESIGN.md` E7
-/// sets one of them to zero).
+/// Weights of the two incompatibility terms (the E7 ablation of README.md,
+/// "Reproduction notes", sets one of them to zero).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of the input-incompatibility (face violation) term.

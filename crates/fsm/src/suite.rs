@@ -2,7 +2,7 @@
 //!
 //! The MCNC'88 FSM benchmark *files* are not redistributable, so every named
 //! machine is regenerated deterministically with the interface sizes of the
-//! original benchmark (see `DESIGN.md`, "Substitutions").  In addition the
+//! original benchmark (see README.md, "Reproduction notes").  In addition the
 //! suite contains a handful of fully hand-written machines (the paper's
 //! Fig. 3 example, a modulo-12 counter, a simple traffic-light controller)
 //! whose behaviour is specified exactly.
@@ -62,8 +62,8 @@ impl BenchmarkInfo {
     }
 
     /// Builds the stand-in machine with the state count scaled by `factor`
-    /// (at least 4 states).  Scaling is used by quick tests and by benches
-    /// that need sub-second iterations on the largest machines.
+    /// (at least 4 states).  Scaling is used by quick tests that need
+    /// sub-second runs on the largest machines.
     ///
     /// # Errors
     ///
@@ -312,7 +312,7 @@ pub fn benchmark_names() -> Vec<&'static str> {
 }
 
 /// A subset of small-to-medium benchmarks suitable for CI-speed tests and
-/// criterion benches (everything except `planet`, `scf`, `sand`, `styr`,
+/// quick table runs (everything except `planet`, `scf`, `sand`, `styr`,
 /// `tbk`).
 pub fn quick_benchmarks() -> Vec<&'static BenchmarkInfo> {
     BENCHMARKS

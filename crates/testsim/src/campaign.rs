@@ -1368,7 +1368,7 @@ impl CampaignObserver for CoverageTargetObserver {
 /// Run one campaign per synthesized structure with its own
 /// `TestLengthObserver` and compare
 /// [`TestLengthObserver::test_length`] across structures — e.g. the
-/// PST-vs-conventional comparison of `BENCH_fault_sim_v2.json`.
+/// PST-vs-conventional test-length comparison of experiment E5.
 #[derive(Debug)]
 pub struct TestLengthObserver {
     structure: Option<BistStructure>,

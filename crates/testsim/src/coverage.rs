@@ -60,7 +60,7 @@ pub enum SimEngine {
     /// machine size: the differential engine's cone bookkeeping only pays
     /// off once the netlist is large relative to the average fault cone
     /// (the crossover sits around [`SimEngine::AUTO_DIFFERENTIAL_GATES`]
-    /// gates on the benchmark suite, per `BENCH_fault_sim_v2.json`).
+    /// gates on the benchmark suite, timed at 512 patterns).
     /// The default engine: callers that do not choose get the right
     /// engine for their machine size.
     #[default]
@@ -73,7 +73,7 @@ impl SimEngine {
     /// benchmark suite).
     ///
     /// Re-calibrated against the event-driven engine on the full suite at
-    /// 512 patterns (`BENCH_fault_sim_v2.json`): machines up to ~174
+    /// 512 patterns (packed against differential): machines up to ~174
     /// gates (`sand`, `styr` and below) still run at or slightly below
     /// packed parity single-threaded — the per-cycle worklist and
     /// divergence bookkeeping has to amortise over enough quiescent logic
@@ -153,11 +153,11 @@ pub struct CampaignConfig {
     pub threads: Option<usize>,
     /// Event-driven worklist scheduling of the differential engine; `false`
     /// falls back to the v1 full-cone sweep.  Bit-for-bit identical either
-    /// way — a diagnostic/bench knob, not a semantic one.
+    /// way — a diagnostic/test knob, not a semantic one.
     pub differential_events: bool,
     /// Per-word divergence widening of the differential engine; `false`
     /// reproduces the v1 per-block decision.  Bit-for-bit identical either
-    /// way — a diagnostic/bench knob, not a semantic one.
+    /// way — a diagnostic/test knob, not a semantic one.
     pub per_word_widening: bool,
     /// Lane-block word count of the differential engine (1, 4 or 8);
     /// `None` picks automatically from the fault-list size.  Any value is

@@ -340,7 +340,7 @@ impl<'a, const W: usize> DiffSimulator<'a, W> {
     /// scheduling knobs: `events` selects the worklist scheduler vs the v1
     /// full-cone sweep, `per_word` the per-word vs per-block widening
     /// decision.  Every combination is bit-for-bit identical; the knobs
-    /// exist for the benches that quantify each mechanism.
+    /// exist for the tests that check each mechanism.
     ///
     /// # Panics
     ///

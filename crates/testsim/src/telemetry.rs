@@ -23,7 +23,7 @@
 //!
 //! [`CampaignMetrics::peak_rss_kb`] is *not* filled by the engines (this
 //! crate deliberately has no platform probes); the `stfsm-trace` layer and
-//! the bench bins stamp it from `stfsm::sys::peak_rss_kb` when they record
+//! perfbench stamp it from `stfsm::sys::peak_rss_kb` when they record
 //! a campaign.
 
 /// The flat counter set of one campaign (or one campaign segment): every
@@ -92,7 +92,7 @@ pub struct CampaignMetrics {
     pub cycles_simulated: u64,
     /// Process peak resident set in KiB.  Always zero inside the
     /// simulation engines; stamped by the `stfsm-trace` /
-    /// bench layers from `stfsm::sys::peak_rss_kb` (see the
+    /// perfbench layers from `stfsm::sys::peak_rss_kb` (see the
     /// [module docs](self)).  [`CampaignMetrics::absorb`] takes the max,
     /// not the sum.
     pub peak_rss_kb: u64,

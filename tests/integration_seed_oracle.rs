@@ -1,15 +1,27 @@
-//! Frozen copy of the *seed* scalar fault-simulation path, kept verbatim as
-//! the performance baseline for `BENCH_fault_sim.json`.
+//! The seed's scalar fault simulator as an independent oracle.
 //!
-//! This reproduces the original one-fault-at-a-time inner loop exactly as it
-//! shipped in the seed tree (per-gate `Gate` enum dispatch through
-//! heap-allocated fan-in `Vec`s, a fresh observation `Vec` per cycle, and a
-//! staging `Vec` per clock edge) so the measured speedup of the packed
-//! engine is relative to a fixed, historical implementation rather than to
-//! the ever-improving production scalar path.  Do not optimise this module.
+//! `SeedSimulator` below is a frozen copy of the one-fault-at-a-time inner
+//! loop exactly as it shipped in the seed tree (per-gate `Gate` enum
+//! dispatch through heap-allocated fan-in `Vec`s, a fresh observation `Vec`
+//! per cycle, and a staging `Vec` per clock edge).  It shares no code with
+//! `Simulator`, `EvalPlan` or any lane engine, so the engines are checked
+//! against a fixed, historical implementation rather than against each
+//! other.  Do not optimise this module.
+//!
+//! The oracle models system-state (PST) stimulation only: the first random
+//! state vector loads the register, after which the machine runs on its own
+//! next-state logic.  It is therefore compared on PST netlists only, against
+//! the first-detect vector of a `Campaign` over the collapsed stuck-at list
+//! on the scalar, packed, differential and auto engines.
 
 use stfsm::bist::netlist::{Gate, Netlist};
-use stfsm::testsim::{Fault, FaultList, FaultSite};
+use stfsm::faults::{Fault, FaultList, FaultModel, FaultSite, Injection, StuckAt};
+use stfsm::fsm::Fsm;
+use stfsm::testsim::patterns::{PatternSource, RandomPatterns};
+use stfsm::{BistStructure, Campaign, CampaignConfig, SimEngine, SynthesisFlow};
+
+/// Patterns per campaign.
+const PATTERNS: usize = 1024;
 
 /// The seed's scalar gate-level simulator (verbatim behaviour).
 struct SeedSimulator<'a> {
@@ -110,7 +122,7 @@ impl<'a> SeedSimulator<'a> {
 /// `run_self_test` computed it for a PST netlist.
 ///
 /// `stimulus` is the flat `(pi, st)` sequence per cycle.
-pub fn seed_scalar_detection(
+fn seed_scalar_detection(
     netlist: &Netlist,
     faults: &FaultList,
     stimulus: &[(Vec<bool>, Vec<bool>)],
@@ -146,4 +158,95 @@ pub fn seed_scalar_detection(
             None
         })
         .collect()
+}
+
+/// The campaign stimulus, drawn from the generators a `Campaign` seeds:
+/// inputs on `seed`, register states on `seed ^ 0x5A5A_5A5A`.
+fn campaign_stimulus(netlist: &Netlist, seed: u64) -> Vec<(Vec<bool>, Vec<bool>)> {
+    let num_inputs = netlist.primary_inputs().len();
+    let num_state = netlist.flip_flops().len();
+    let mut pi_source = RandomPatterns::new(num_inputs.max(1), seed);
+    let mut st_source = RandomPatterns::new(num_state.max(1), seed ^ 0x5A5A_5A5A);
+    (0..PATTERNS)
+        .map(|_| (pi_source.next_pattern(), st_source.next_pattern()))
+        .collect()
+}
+
+/// Every engine's first-detect vector on the PST netlist of `fsm` equals
+/// the oracle's.
+fn engines_match_the_oracle(fsm: &Fsm) {
+    let netlist = SynthesisFlow::new(BistStructure::Pst)
+        .synthesize(fsm)
+        .expect("synthesis succeeds")
+        .netlist;
+    let seed = CampaignConfig::default().seed;
+    let faults = FaultList::collapsed(&netlist);
+    let oracle = seed_scalar_detection(&netlist, &faults, &campaign_stimulus(&netlist, seed));
+    assert!(
+        oracle.iter().any(Option::is_some),
+        "{}: the oracle detects no fault",
+        fsm.name()
+    );
+    let injections: Vec<Injection> = faults.faults().iter().map(|&f| f.into()).collect();
+    assert_eq!(
+        StuckAt.fault_list(&netlist, true),
+        injections,
+        "{}: the collapsed stuck-at model lists the oracle's faults",
+        fsm.name()
+    );
+    for engine in [
+        SimEngine::Scalar,
+        SimEngine::Packed,
+        SimEngine::Differential,
+        SimEngine::Auto,
+    ] {
+        let outcome = Campaign::new(&netlist)
+            .engine(engine)
+            .patterns(PATTERNS)
+            .seed(seed)
+            .faults("stuck_at", injections.clone())
+            .run();
+        assert_eq!(
+            outcome.sections[0].detection_pattern,
+            oracle,
+            "{} PST: {engine:?} disagrees with the seed oracle",
+            fsm.name()
+        );
+    }
+}
+
+fn suite_machines(names: &[&str]) {
+    for name in names {
+        let fsm = stfsm::fsm::suite::benchmark(name)
+            .expect("suite machine")
+            .fsm()
+            .expect("generator succeeds");
+        engines_match_the_oracle(&fsm);
+    }
+}
+
+// The machines are spread over three tests, which the harness runs in
+// parallel; the oracle's time grows with faults × patterns, so the larger
+// suite machines (sand, styr, planet, scf) are left out.
+
+#[test]
+fn engines_match_the_seed_oracle_on_the_smallest_machines() {
+    for fsm in [
+        stfsm::fsm::suite::fig3_example().expect("fixed machine"),
+        stfsm::fsm::suite::modulo12_exact().expect("fixed machine"),
+        stfsm::fsm::suite::traffic_light().expect("fixed machine"),
+    ] {
+        engines_match_the_oracle(&fsm);
+    }
+    suite_machines(&["modulo12", "dk512"]);
+}
+
+#[test]
+fn engines_match_the_seed_oracle_on_small_suite_machines() {
+    suite_machines(&["ex4", "kirkman", "donfile"]);
+}
+
+#[test]
+fn engines_match_the_seed_oracle_on_medium_suite_machines() {
+    suite_machines(&["mark1", "dk16"]);
 }

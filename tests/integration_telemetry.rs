@@ -293,5 +293,9 @@ fn dictionary_campaigns_hit_the_good_trace_cache() {
             totals.dictionary_ns > 0,
             "the dictionary phase span must tick: {name} {engine:?}"
         );
+        assert!(
+            totals.widenings > 0,
+            "the un-dropped pass widens diverged words: {name} {engine:?}"
+        );
     }
 }
