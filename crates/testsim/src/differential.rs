@@ -1409,6 +1409,7 @@ impl SegmentRunner for DiffSegments<'_> {
 mod tests {
     use super::*;
     use crate::coverage::{run_injection_campaign, run_self_test, SelfTestConfig, SimEngine};
+    use crate::packed::PackedSimulator;
     use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
     use stfsm_bist::netlist::build_netlist;
     use stfsm_bist::BistStructure;
@@ -1618,6 +1619,161 @@ mod tests {
             );
             assert_eq!(single, sharded, "{threads} workers");
         }
+    }
+
+    /// sand's PST netlist as the synthesis flow builds it (MISR assignment,
+    /// default minimizer).
+    fn sand_pst_netlist() -> Netlist {
+        let fsm = stfsm_fsm::suite::benchmark("sand").unwrap().fsm().unwrap();
+        let assignment =
+            stfsm_encode::misr::assign(&fsm, &stfsm_encode::misr::MisrAssignmentConfig::default());
+        let transform = RegisterTransform::Misr(Misr::new(assignment.feedback).unwrap());
+        let pla = build_pla(&fsm, &assignment.encoding, &transform).unwrap();
+        let cover = minimize(&pla).cover;
+        let lay = layout(&fsm, &assignment.encoding, &transform);
+        build_netlist(
+            "sand",
+            &cover,
+            &lay,
+            BistStructure::Pst,
+            Some(assignment.feedback),
+        )
+        .unwrap()
+    }
+
+    /// Runs the fault-free machine (lane 0) and one scalar machine per
+    /// injection (lane `i` carries `injections[i - 1]`) for 200 seeded
+    /// cycles from register state `init`, and checks every net of every
+    /// lane against the net words that `cycle` returns.  `cycle` gets the
+    /// good machine's pre-state, its net values as a bit row and the
+    /// broadcast input words; it evaluates and clocks the packed engine
+    /// once.
+    fn check_lanes_against_scalar<const W: usize>(
+        netlist: &Netlist,
+        injections: &[Injection],
+        init: &[bool],
+        seed: u64,
+        mut cycle: impl FnMut(&[bool], &[u64], &[u64]) -> Vec<[u64; W]>,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut scalar: Vec<Simulator> = std::iter::once(Simulator::new(netlist))
+            .chain(
+                injections
+                    .iter()
+                    .map(|i| Simulator::with_injection(netlist, i.clone())),
+            )
+            .collect();
+        for sim in &mut scalar {
+            sim.set_state(init);
+        }
+        let num_nets = netlist.gates().len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for t in 0..200 {
+            let inputs: Vec<bool> = (0..netlist.primary_inputs().len())
+                .map(|_| rng.gen_bool(0.5))
+                .collect();
+            let words: Vec<u64> = inputs.iter().map(|&b| broadcast(b)).collect();
+            let pre_state = scalar[0].state().to_vec();
+            for sim in &mut scalar {
+                sim.evaluate(&inputs);
+            }
+            let mut good_row = vec![0u64; num_nets.div_ceil(64)];
+            for net in 0..num_nets {
+                if scalar[0].net(net) {
+                    good_row[net / 64] |= 1u64 << (net % 64);
+                }
+            }
+            let values = cycle(&pre_state, &good_row, &words);
+            for (net, value) in values.iter().enumerate() {
+                for (lane, sim) in scalar.iter().enumerate() {
+                    assert_eq!(
+                        (value[lane / 64] >> (lane % 64)) & 1 == 1,
+                        sim.net(net),
+                        "cycle {t}, net {net}, lane {lane}: {:?}",
+                        injections.get(lane.wrapping_sub(1))
+                    );
+                }
+            }
+            for sim in &mut scalar {
+                sim.clock();
+            }
+        }
+    }
+
+    /// Every pin fault of a gate wider than one word, in shuffled order,
+    /// plus one key on two lanes and one bridge pair as both wired-AND and
+    /// wired-OR: the patch merge must give every lane the scalar
+    /// reference's net values, at `W = 1` (three chunks) and in one `W = 8`
+    /// block spanning three words.
+    #[test]
+    fn pin_patch_merge_matches_scalar_on_a_wide_gate() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        const FAULT_LANES: usize = LaneBlock::<1>::FAULT_LANES;
+        let netlist = sand_pst_netlist();
+        let num_nets = netlist.gates().len();
+        let (gate, width) = netlist
+            .gates()
+            .iter()
+            .enumerate()
+            .map(|(id, g)| (id, g.fanin().len()))
+            .max_by_key(|&(_, width)| width)
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(0x5A4D);
+        let mut injections: Vec<Injection> = (0..width)
+            .flat_map(|pin| [false, true].map(|value| Injection::StuckPin { gate, pin, value }))
+            .collect();
+        assert!(
+            injections.len() > 2 * FAULT_LANES,
+            "widest gate has only {width} pins"
+        );
+        injections.shuffle(&mut rng);
+        // The first fault of the third W = 1 chunk sits in word 1 of the
+        // W = 8 block; its copy and the bridge pair land in word 2.
+        injections.push(injections[2 * FAULT_LANES].clone());
+        let aggressor = netlist.gates()[gate].fanin()[0];
+        for wired_and in [true, false] {
+            injections.push(Injection::Bridge {
+                victim: gate,
+                aggressor,
+                wired_and,
+            });
+        }
+        assert!(injections.len() < LaneBlock::<8>::LANES);
+        let init: Vec<bool> = (0..netlist.flip_flops().len())
+            .map(|_| rng.gen_bool(0.5))
+            .collect();
+
+        for (c, chunk) in injections.chunks(FAULT_LANES).enumerate() {
+            let mut sim = PackedSimulator::with_injections(&netlist, chunk);
+            sim.set_state_broadcast(&init);
+            check_lanes_against_scalar(&netlist, chunk, &init, c as u64, |_, _, words| {
+                sim.evaluate(words);
+                let values = (0..num_nets).map(|net| [sim.net_word(net)]).collect();
+                sim.clock();
+                values
+            });
+        }
+
+        let mut sim = DiffSimulator::<8>::with_injections(&netlist, &injections);
+        sim.set_state_broadcast_bits(&init);
+        check_lanes_against_scalar(
+            &netlist,
+            &injections,
+            &init,
+            0,
+            |pre_state, good_row, words| {
+                let wide = sim.needs_wide(pre_state);
+                sim.eval_cycle(wide, good_row, words);
+                let values = (0..num_nets)
+                    .map(|net| sim.net_value(wide, net, good_row))
+                    .collect();
+                sim.clock_cycle(wide, good_row);
+                values
+            },
+        );
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * the **compiler** ([`PackedCore::compile`]) that specialises the
 //!   netlist's [`EvalPlan`](stfsm_bist::netlist::EvalPlan) per fault chunk
 //!   — inline operands for arity ≤ 2, shared fan-in ranges for wider
-//!   gates, and a side table of patched gates for the few instructions
-//!   carrying an injected fault;
+//!   gates, and a side table for every instruction carrying an injected
+//!   fault (fault lists enumerate a gate's pins one after another, so one
+//!   chunk may patch every pin of a wide gate);
 //! * the **evaluator** ([`PackedCore::eval_all`] /
 //!   [`PackedCore::eval_steps`]) sweeping the whole plan or a restricted
 //!   step set, plus the change-detecting single-step form
@@ -78,6 +79,11 @@ pub(crate) struct Instr {
 
 /// An input-pin stuck-at patch: lanes in `set` see the pin stuck at 1,
 /// lanes in `clear` see it stuck at 0.
+///
+/// [`PackedCore::pin_patches`] holds the patches sorted by `(gate, pin)`
+/// with one entry per key: [`eval_patched`] walks a gate's patches with one
+/// cursor alongside its ascending operand fold, which misses a patch listed
+/// out of pin order and applies only one of two patches on the same pin.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PinPatch<const W: usize> {
     pub(crate) gate: u32,
@@ -102,8 +108,6 @@ pub(crate) struct BridgePatch<const W: usize> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PatchedGate<const W: usize> {
     pub(crate) op: PlanOp,
-    /// The net this gate produces (for the lane-memory accessors).
-    pub(crate) net: u32,
     pub(crate) fanin_start: u32,
     pub(crate) fanin_end: u32,
     pub(crate) patch_start: u32,
@@ -167,9 +171,10 @@ pub(crate) struct PackedCore<'a, const W: usize> {
     /// Faulted gates (output masks, stuck pins, delayed transitions or
     /// bridges).
     pub(crate) patched: Vec<PatchedGate<W>>,
-    /// The pin patches, sorted by (gate, pin).
+    /// The pin patches, sorted by (gate, pin) with one entry per key.
     pub(crate) pin_patches: Vec<PinPatch<W>>,
-    /// The bridge patches, grouped per victim gate.
+    /// The bridge patches, sorted by (victim, aggressor) with one entry per
+    /// key.
     pub(crate) bridges: Vec<BridgePatch<W>>,
     /// Per patched gate: ring of raw (pre-injection) value words of the
     /// previous clock cycles, newest first (`hist[g][s]` holds the raw
@@ -237,27 +242,18 @@ impl<'a, const W: usize> PackedCore<'a, W> {
                     }
                 }
                 &Injection::StuckPin { gate, pin, value } => {
-                    let (gate, pin) = (gate as u32, pin as u32);
-                    let patch = match pin_patches
-                        .iter_mut()
-                        .find(|p| p.gate == gate && p.pin == pin)
-                    {
-                        Some(patch) => patch,
-                        None => {
-                            pin_patches.push(PinPatch {
-                                gate,
-                                pin,
-                                set: zero,
-                                clear: zero,
-                            });
-                            pin_patches.last_mut().expect("just pushed")
-                        }
+                    let mut patch = PinPatch {
+                        gate: gate as u32,
+                        pin: pin as u32,
+                        set: zero,
+                        clear: zero,
                     };
                     if value {
-                        patch.set[word] |= mask;
+                        patch.set[word] = mask;
                     } else {
-                        patch.clear[word] |= mask;
+                        patch.clear[word] = mask;
                     }
+                    pin_patches.push(patch);
                 }
                 &Injection::DelayedTransition { net, slow_to_rise } => {
                     if slow_to_rise {
@@ -304,34 +300,47 @@ impl<'a, const W: usize> PackedCore<'a, W> {
                         aggressor < victim,
                         "bridge aggressor must precede the victim in net order"
                     );
-                    let (victim, aggressor) = (victim as u32, aggressor as u32);
-                    let patch = match bridge_patches
-                        .iter_mut()
-                        .find(|b| b.victim == victim && b.aggressor == aggressor)
-                    {
-                        Some(patch) => patch,
-                        None => {
-                            bridge_patches.push(BridgePatch {
-                                victim,
-                                aggressor,
-                                and_mask: zero,
-                                or_mask: zero,
-                            });
-                            bridge_patches.last_mut().expect("just pushed")
-                        }
+                    let mut patch = BridgePatch {
+                        victim: victim as u32,
+                        aggressor: aggressor as u32,
+                        and_mask: zero,
+                        or_mask: zero,
                     };
                     if wired_and {
-                        patch.and_mask[word] |= mask;
+                        patch.and_mask[word] = mask;
                     } else {
-                        patch.or_mask[word] |= mask;
+                        patch.or_mask[word] = mask;
                     }
+                    bridge_patches.push(patch);
                 }
             }
         }
-        pin_patches.sort_by_key(|p| (p.gate, p.pin));
-        bridge_patches.sort_by_key(|b| (b.victim, b.aggressor));
-        // Group the patches per gate so the evaluator scans only a gate's
-        // own (tiny) patch list.
+        // One patch per injection so far: sort, then merge equal keys into
+        // one patch whose masks carry all of the key's lanes.
+        pin_patches.sort_unstable_by_key(|p| (p.gate, p.pin));
+        pin_patches.dedup_by(|later, kept| {
+            let same = (later.gate, later.pin) == (kept.gate, kept.pin);
+            if same {
+                for k in 0..W {
+                    kept.set[k] |= later.set[k];
+                    kept.clear[k] |= later.clear[k];
+                }
+            }
+            same
+        });
+        bridge_patches.sort_unstable_by_key(|b| (b.victim, b.aggressor));
+        bridge_patches.dedup_by(|later, kept| {
+            let same = (later.victim, later.aggressor) == (kept.victim, kept.aggressor);
+            if same {
+                for k in 0..W {
+                    kept.and_mask[k] |= later.and_mask[k];
+                    kept.or_mask[k] |= later.or_mask[k];
+                }
+            }
+            same
+        });
+        // Group the patches per gate so the evaluator reads only a gate's
+        // own patch range.
         let mut patch_ranges = vec![(0u32, 0u32); num_nets];
         let mut i = 0;
         while i < pin_patches.len() {
@@ -355,7 +364,7 @@ impl<'a, const W: usize> PackedCore<'a, W> {
 
         // Compile the evaluation plan for this fault chunk: inline operands
         // for arity <= 2, shared fan-in ranges for wider gates, and a side
-        // table for the few faulted gates.
+        // table for the faulted gates.
         let plan = netlist.plan();
         let fanin = plan.fanin();
         let mut code = Vec::with_capacity(num_nets);
@@ -379,7 +388,6 @@ impl<'a, const W: usize> PackedCore<'a, W> {
                 mc.push(std::mem::take(&mut mc_masks[id]));
                 patched.push(PatchedGate {
                     op: step.op,
-                    net: id as u32,
                     fanin_start: step.fanin_start,
                     fanin_end: step.fanin_end,
                     patch_start,
@@ -480,6 +488,12 @@ impl<'a, const W: usize> PackedCore<'a, W> {
         }
         let next: Vec<[u64; W]> = patched.iter().map(|g| g.rise).collect();
         let committed = vec![0u32; patched.len()];
+        debug_assert!(
+            pin_patches
+                .windows(2)
+                .all(|p| (p[0].gate, p[0].pin) < (p[1].gate, p[1].pin)),
+            "pin patches must be sorted by (gate, pin) with one entry per key"
+        );
         Self {
             netlist,
             values: vec![zero; num_nets],
@@ -505,7 +519,7 @@ impl<'a, const W: usize> PackedCore<'a, W> {
         let instr = self.code[id];
         let value = if instr.op == Op::Patched {
             let idx = instr.a as usize;
-            let gate = self.patched[idx];
+            let gate = &self.patched[idx];
             let prev = self.hist[idx].first().copied().unwrap_or([0u64; W]);
             let (mut value, raw) = eval_patched(
                 &self.values,
@@ -782,10 +796,13 @@ impl<'a, const W: usize> PackedCore<'a, W> {
 
     /// The patched-gate index producing `net`.
     fn patch_index(&self, net: usize) -> usize {
-        self.patched
-            .iter()
-            .position(|g| g.net as usize == net)
-            .expect("stateful fault compiles to a patched gate")
+        let instr = self.code[net];
+        assert_eq!(
+            instr.op,
+            Op::Patched,
+            "stateful fault compiles to a patched gate"
+        );
+        instr.a as usize
     }
 
     /// The [`PathLane`] index carrying the path fault of `lane`.
@@ -876,14 +893,14 @@ fn acc_words<const W: usize>(acc: &mut [u64; W], v: &[u64; W], f: impl Fn(u64, u
 
 /// Folds a gate's operands through an operand accessor (statically
 /// dispatched, one monomorphization per patch specialisation of
-/// [`eval_patched`]).
+/// [`eval_patched`]), calling it once per pin in ascending pin order.
 #[inline(always)]
 fn fold_operands<const W: usize>(
     op: PlanOp,
     ops: &[u32],
     inputs: &[u64],
     state: &[[u64; W]],
-    operand: impl Fn(usize, u32) -> [u64; W],
+    mut operand: impl FnMut(usize, u32) -> [u64; W],
 ) -> [u64; W] {
     match op {
         PlanOp::Input(k) => [inputs[k as usize]; W],
@@ -933,38 +950,32 @@ pub(crate) fn eval_patched<const W: usize>(
     fanin: &[u32],
     pin_patches: &[PinPatch<W>],
     bridges: &[BridgePatch<W>],
-    gate: PatchedGate<W>,
+    gate: &PatchedGate<W>,
     prev: [u64; W],
 ) -> ([u64; W], [u64; W]) {
     let patches = &pin_patches[gate.patch_start as usize..gate.patch_end as usize];
     let ops = &fanin[gate.fanin_start as usize..gate.fanin_end as usize];
-    // Fold the operands through an operand accessor specialised (and
-    // monomorphized) per patch count: output-fault-only gates — the
-    // overwhelmingly common case, since stuck outputs, transitions and
-    // bridges carry no pin patches — read their operands unpatched, the
-    // one-stuck-pin case tests a single patch, and only multi-patch gates
-    // scan the patch list per pin.
-    let raw: [u64; W] = match patches {
-        [] => fold_operands(gate.op, ops, inputs, state, |_pin, net| {
+    // Gates without pin patches (stuck outputs, transitions and bridges)
+    // read their operands unpatched.  The others merge their patch list,
+    // sorted by pin with one entry per pin, into the ascending pin order of
+    // the fold with one cursor, so a gate costs O(fan-in + patches) however
+    // many of its pins one chunk faults.
+    let raw: [u64; W] = if patches.is_empty() {
+        fold_operands(gate.op, ops, inputs, state, |_pin, net| {
             values[net as usize]
-        }),
-        [patch] => fold_operands(gate.op, ops, inputs, state, |pin, net| {
+        })
+    } else {
+        let mut cursor = 0;
+        fold_operands(gate.op, ops, inputs, state, |pin, net| {
             let w = values[net as usize];
-            if pin as u32 == patch.pin {
-                std::array::from_fn(|k| (w[k] & !patch.clear[k]) | patch.set[k])
-            } else {
-                w
-            }
-        }),
-        patches => fold_operands(gate.op, ops, inputs, state, |pin, net| {
-            let mut w = values[net as usize];
-            for patch in patches {
-                if patch.pin == pin as u32 {
-                    w = std::array::from_fn(|k| (w[k] & !patch.clear[k]) | patch.set[k]);
+            match patches.get(cursor) {
+                Some(patch) if patch.pin as usize == pin => {
+                    cursor += 1;
+                    std::array::from_fn(|k| (w[k] & !patch.clear[k]) | patch.set[k])
                 }
+                _ => w,
             }
-            w
-        }),
+        })
     };
     // Branch-free fault injection: delayed transitions first (they rewrite
     // the raw value through the one-cycle memory), then bridges, then stuck
