@@ -11,7 +11,6 @@
 use stfsm::encode::misr::MisrAssignmentConfig;
 use stfsm::experiments::ExperimentConfig;
 use stfsm::fsm::suite::{quick_benchmarks, BenchmarkInfo, BENCHMARKS};
-use stfsm::logic::espresso::MinimizeConfig;
 
 /// The benchmark set selected by a `--full` flag: the whole suite when full,
 /// otherwise the small/medium subset.
@@ -27,7 +26,6 @@ pub fn selected_benchmarks(full: bool) -> Vec<&'static BenchmarkInfo> {
 pub fn table_config(full: bool) -> ExperimentConfig {
     ExperimentConfig {
         random_encodings: if full { 50 } else { 15 },
-        minimizer: MinimizeConfig::default(),
         misr: MisrAssignmentConfig::default(),
         ..ExperimentConfig::default()
     }

@@ -12,12 +12,13 @@
 
 use crate::flow::{AssignmentMethod, SynthesisFlow};
 use crate::report::{CoverageComparison, CoverageRow, Table1Row, Table2Row, Table3Row};
-use crate::{BistStructure, Result};
+use crate::{BistStructure, Campaign, Result};
+use stfsm_bist::netlist::Netlist;
 use stfsm_encode::misr::MisrAssignmentConfig;
+use stfsm_faults::{FaultList, Injection};
 use stfsm_fsm::suite::BenchmarkInfo;
 use stfsm_fsm::Fsm;
-use stfsm_logic::espresso::MinimizeConfig;
-use stfsm_testsim::coverage::{run_self_test, SelfTestConfig, SimEngine};
+use stfsm_testsim::coverage::{CoverageResult, SimEngine};
 
 /// Parameters shared by the experiment drivers.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,8 +28,6 @@ pub struct ExperimentConfig {
     pub random_encodings: usize,
     /// Seed for the random-encoding baseline.
     pub seed: u64,
-    /// Minimizer configuration used for every synthesis run.
-    pub minimizer: MinimizeConfig,
     /// MISR-assignment configuration (beam width etc.).
     pub misr: MisrAssignmentConfig,
     /// Patterns applied in coverage campaigns.
@@ -37,8 +36,8 @@ pub struct ExperimentConfig {
     pub target_coverage: f64,
     /// Keep only every n-th fault in coverage campaigns (1 = all).
     pub fault_sample: usize,
-    /// Fault-simulation engine for coverage campaigns (packed 64-way by
-    /// default; scalar is the slow differential-testing reference).
+    /// Fault-simulation engine for coverage campaigns (`Auto` by default;
+    /// scalar is the slow differential-testing reference).
     pub engine: SimEngine,
 }
 
@@ -47,7 +46,6 @@ impl Default for ExperimentConfig {
         Self {
             random_encodings: 50,
             seed: 0xDAC_1991,
-            minimizer: MinimizeConfig::default(),
             misr: MisrAssignmentConfig::default(),
             max_patterns: 2048,
             target_coverage: 0.95,
@@ -59,11 +57,10 @@ impl Default for ExperimentConfig {
 
 impl ExperimentConfig {
     /// A configuration small enough for CI-speed runs: 5 random encodings,
-    /// single-pass minimization, few patterns.
+    /// a narrower MISR-assignment search, few patterns.
     pub fn quick() -> Self {
         Self {
             random_encodings: 5,
-            minimizer: MinimizeConfig::fast(),
             misr: MisrAssignmentConfig::fast(),
             max_patterns: 256,
             fault_sample: 2,
@@ -90,12 +87,10 @@ pub fn table2_row(
             .with_assignment(AssignmentMethod::Random {
                 seed: config.seed.wrapping_add(i as u64),
             })
-            .with_minimizer(config.minimizer.clone())
             .synthesize(fsm)?;
         random_terms.push(result.product_terms());
     }
     let heuristic = SynthesisFlow::new(BistStructure::Pst)
-        .with_minimizer(config.minimizer.clone())
         .with_misr_config(config.misr.clone())
         .synthesize(fsm)?;
 
@@ -131,15 +126,10 @@ pub fn table3_row(
     config: &ExperimentConfig,
 ) -> Result<Table3Row> {
     let pst = SynthesisFlow::new(BistStructure::Pst)
-        .with_minimizer(config.minimizer.clone())
         .with_misr_config(config.misr.clone())
         .synthesize(fsm)?;
-    let dff = SynthesisFlow::new(BistStructure::Dff)
-        .with_minimizer(config.minimizer.clone())
-        .synthesize(fsm)?;
-    let pat = SynthesisFlow::new(BistStructure::Pat)
-        .with_minimizer(config.minimizer.clone())
-        .synthesize(fsm)?;
+    let dff = SynthesisFlow::new(BistStructure::Dff).synthesize(fsm)?;
+    let pat = SynthesisFlow::new(BistStructure::Pat).synthesize(fsm)?;
 
     Ok(Table3Row {
         benchmark: fsm.name().to_string(),
@@ -161,6 +151,24 @@ pub fn table3_row(
     })
 }
 
+/// The stuck-at campaign of the coverage experiments: the collapsed fault
+/// list with every `fault_sample`-th fault kept.
+fn stuck_at_coverage(netlist: &Netlist, config: &ExperimentConfig) -> CoverageResult {
+    let faults: Vec<Injection> = FaultList::collapsed(netlist)
+        .sampled(config.fault_sample)
+        .faults()
+        .iter()
+        .map(|&f| f.into())
+        .collect();
+    Campaign::new(netlist)
+        .engine(config.engine)
+        .patterns(config.max_patterns)
+        .seed(config.seed)
+        .faults("stuck_at", faults)
+        .run()
+        .coverage(0)
+}
+
 /// Synthesizes a machine for every structure and reports the quantified
 /// Table 1 metrics (optionally including a fault-coverage campaign).
 ///
@@ -175,20 +183,10 @@ pub fn table1_rows(
     let mut rows = Vec::with_capacity(BistStructure::ALL.len());
     for structure in BistStructure::ALL {
         let result = SynthesisFlow::new(structure)
-            .with_minimizer(config.minimizer.clone())
             .with_misr_config(config.misr.clone())
             .synthesize(fsm)?;
         let (fault_coverage, test_length) = if with_coverage {
-            let campaign = run_self_test(
-                &result.netlist,
-                &SelfTestConfig {
-                    max_patterns: config.max_patterns,
-                    seed: config.seed,
-                    fault_sample: config.fault_sample,
-                    engine: config.engine,
-                    ..SelfTestConfig::default()
-                },
-            );
+            let campaign = stuck_at_coverage(&result.netlist, config);
             (
                 Some(campaign.fault_coverage()),
                 campaign.test_length_for_coverage(config.target_coverage),
@@ -223,19 +221,9 @@ pub fn coverage_comparison(fsm: &Fsm, config: &ExperimentConfig) -> Result<Cover
     let mut rows = Vec::new();
     for structure in BistStructure::ALL {
         let result = SynthesisFlow::new(structure)
-            .with_minimizer(config.minimizer.clone())
             .with_misr_config(config.misr.clone())
             .synthesize(fsm)?;
-        let campaign = run_self_test(
-            &result.netlist,
-            &SelfTestConfig {
-                max_patterns: config.max_patterns,
-                seed: config.seed,
-                fault_sample: config.fault_sample,
-                engine: config.engine,
-                ..SelfTestConfig::default()
-            },
-        );
+        let campaign = stuck_at_coverage(&result.netlist, config);
         rows.push(CoverageRow {
             structure: structure.name().to_string(),
             total_faults: campaign.total_faults,

@@ -13,7 +13,7 @@ use stfsm_encode::random::random_encoding;
 use stfsm_encode::StateEncoding;
 use stfsm_fsm::Fsm;
 use stfsm_lfsr::{primitive_polynomial, Gf2Poly, Lfsr, Misr};
-use stfsm_logic::espresso::{minimize_with, MinimizeConfig, MinimizeStats};
+use stfsm_logic::espresso::{minimize, MinimizeStats};
 use stfsm_logic::{Cover, Pla};
 
 /// How the state assignment is produced.
@@ -43,7 +43,6 @@ pub enum AssignmentMethod {
 pub struct SynthesisFlow {
     structure: BistStructure,
     assignment: AssignmentMethod,
-    minimize: MinimizeConfig,
     misr_config: MisrAssignmentConfig,
     dff_config: DffAssignmentConfig,
     pat_config: PatAssignmentConfig,
@@ -51,12 +50,11 @@ pub struct SynthesisFlow {
 
 impl SynthesisFlow {
     /// Creates a flow targeting the given BIST structure with default
-    /// settings (heuristic assignment, two-pass minimization).
+    /// settings (heuristic assignment).
     pub fn new(structure: BistStructure) -> Self {
         Self {
             structure,
             assignment: AssignmentMethod::Heuristic,
-            minimize: MinimizeConfig::default(),
             misr_config: MisrAssignmentConfig::default(),
             dff_config: DffAssignmentConfig::default(),
             pat_config: PatAssignmentConfig::default(),
@@ -66,12 +64,6 @@ impl SynthesisFlow {
     /// Selects the state-assignment method.
     pub fn with_assignment(mut self, assignment: AssignmentMethod) -> Self {
         self.assignment = assignment;
-        self
-    }
-
-    /// Overrides the logic-minimizer configuration.
-    pub fn with_minimizer(mut self, config: MinimizeConfig) -> Self {
-        self.minimize = config;
         self
     }
 
@@ -114,7 +106,7 @@ impl SynthesisFlow {
         let lay = layout(fsm, &encoding, &transform);
 
         // ---- logic minimization -------------------------------------------
-        let minimized = minimize_with(&pla, &self.minimize);
+        let minimized = minimize(&pla);
 
         // ---- structural netlist --------------------------------------------
         let netlist_feedback = match self.structure {
@@ -369,14 +361,13 @@ mod tests {
     #[test]
     fn builder_setters_apply() {
         let flow = SynthesisFlow::new(BistStructure::Pst)
-            .with_minimizer(MinimizeConfig::fast())
             .with_misr_config(MisrAssignmentConfig::fast())
             .with_dff_config(DffAssignmentConfig::default())
             .with_pat_config(PatAssignmentConfig::default());
         assert_eq!(flow.structure(), BistStructure::Pst);
         let fsm = fig3_example().unwrap();
         let result = flow.synthesize(&fsm).unwrap();
-        assert_eq!(result.minimize_stats.passes, 1);
+        assert_eq!(result.minimize_stats.final_cubes, result.cover.len());
     }
 
     #[test]

@@ -23,14 +23,11 @@
 //! building blocks live in the re-exported substrate crates
 //! ([`fsm`], [`lfsr`], [`logic`], [`encode`], [`bist`], [`testsim`]).
 //! Fault simulation and diagnosis of a synthesized result run through the
-//! unified [`Campaign`] builder
-//! ([`SynthesisResult::campaign`](crate::SynthesisResult::campaign)): one
-//! simulation pass, composable observers ([`CoverageObserver`],
-//! [`DictionaryObserver`], [`DiagnosisObserver`]).  The one-shot functions
-//! `testsim::run_self_test`, `testsim::run_injection_campaign` and
-//! `testsim::build_fault_dictionary` predate the campaign API and remain
-//! only as thin wrappers (bit-for-bit identical results), soft-deprecated
-//! in their docs in favour of [`Campaign`].
+//! [`Campaign`] builder
+//! ([`SynthesisResult::campaign`](crate::SynthesisResult::campaign)), the
+//! only way in: one simulation pass, composable observers
+//! ([`CoverageObserver`], [`DictionaryObserver`], [`DiagnosisObserver`]).
+//! Fault lists come from [`faults`].
 //!
 //! # Quick start
 //!

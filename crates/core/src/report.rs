@@ -3,8 +3,6 @@
 
 use crate::json::{JsonObject, RawJson, ToJson};
 use stfsm_bist::BistStructure;
-use stfsm_testsim::coverage::CoverageResult;
-use stfsm_testsim::dictionary::FaultDictionary;
 use stfsm_testsim::telemetry::{CampaignMetrics, CampaignTelemetry, SegmentTelemetry, WorkerSpan};
 
 /// One row of the Table 2 reproduction: the PST/SIG state-assignment quality
@@ -209,267 +207,6 @@ impl ToJson for CoverageRow {
     }
 }
 
-/// One row of the fault-model comparison: the coverage a self-test campaign
-/// reached for one (benchmark, structure, fault model) combination.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultModelRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Structure the netlist implements.
-    pub structure: String,
-    /// Fault-model name (`stuck_at`, `transition`, `bridging`, …).
-    pub model: String,
-    /// Faults simulated (after collapsing).
-    pub total_faults: usize,
-    /// Faults whose effect reached an observation point.
-    pub detected_faults: usize,
-    /// Final fault coverage.
-    pub fault_coverage: f64,
-    /// Patterns applied.
-    pub patterns_applied: usize,
-}
-
-impl FaultModelRow {
-    /// Builds a row from a campaign result.
-    pub fn from_result(benchmark: &str, model: &str, result: &CoverageResult) -> Self {
-        Self {
-            benchmark: benchmark.to_string(),
-            structure: result.structure.name().to_string(),
-            model: model.to_string(),
-            total_faults: result.total_faults,
-            detected_faults: result.detected_faults,
-            fault_coverage: result.fault_coverage(),
-            patterns_applied: result.patterns_applied,
-        }
-    }
-}
-
-impl ToJson for FaultModelRow {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        obj.field("benchmark", &self.benchmark)
-            .field("structure", &self.structure)
-            .field("model", &self.model)
-            .field("total_faults", self.total_faults)
-            .field("detected_faults", self.detected_faults)
-            .field("fault_coverage", self.fault_coverage)
-            .field("patterns_applied", self.patterns_applied);
-        out.push_str(&obj.finish());
-    }
-}
-
-/// One row of the engine-comparison benchmark: packed vs differential
-/// timing of the identical campaign on one suite machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineTimingRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Number of gates of the synthesized netlist.
-    pub gates: usize,
-    /// Faults simulated (collapsed stuck-at list).
-    pub total_faults: usize,
-    /// Patterns applied by both engines.
-    pub max_patterns: usize,
-    /// Wall-clock milliseconds of the packed engine (best of N).
-    pub packed_ms: f64,
-    /// Wall-clock milliseconds of the differential engine (best of N).
-    pub differential_ms: f64,
-    /// `packed_ms / differential_ms`.
-    pub speedup: f64,
-    /// Whether the two engines produced identical detection patterns
-    /// (asserted by the benchmark before the row is emitted).
-    pub detection_patterns_identical: bool,
-}
-
-impl ToJson for EngineTimingRow {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        obj.field("benchmark", &self.benchmark)
-            .field("gates", self.gates)
-            .field("total_faults", self.total_faults)
-            .field("max_patterns", self.max_patterns)
-            .field("packed_ms", self.packed_ms)
-            .field("differential_ms", self.differential_ms)
-            .field("speedup", self.speedup)
-            .field(
-                "detection_patterns_identical",
-                self.detection_patterns_identical,
-            );
-        out.push_str(&obj.finish());
-    }
-}
-
-/// The campaign-API overhead row of the engine benchmark: the same
-/// campaign driven through the legacy one-shot entry point and through the
-/// unified `Campaign` builder, asserting the redesign costs nothing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignTimingRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Faults simulated (collapsed stuck-at list).
-    pub total_faults: usize,
-    /// Patterns applied by both paths.
-    pub max_patterns: usize,
-    /// Wall-clock milliseconds of the legacy entry point (best of N).
-    pub legacy_ms: f64,
-    /// Wall-clock milliseconds of the campaign API (best of N).
-    pub campaign_ms: f64,
-    /// `(campaign_ms - legacy_ms) / legacy_ms * 100`.
-    pub overhead_pct: f64,
-    /// Whether both paths produced identical coverage results (asserted by
-    /// the benchmark before the row is emitted).
-    pub results_identical: bool,
-    /// Whether the ≤ 5 % overhead claim held on this host.
-    pub within_5_percent: bool,
-}
-
-impl ToJson for CampaignTimingRow {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        obj.field("benchmark", &self.benchmark)
-            .field("total_faults", self.total_faults)
-            .field("max_patterns", self.max_patterns)
-            .field("legacy_ms", self.legacy_ms)
-            .field("campaign_ms", self.campaign_ms)
-            .field("overhead_pct", self.overhead_pct)
-            .field("results_identical", self.results_identical)
-            .field("within_5_percent", self.within_5_percent);
-        out.push_str(&obj.finish());
-    }
-}
-
-/// One row of the test-length benchmark: how many patterns one BIST
-/// structure needs to reach a coverage target on one suite machine — the
-/// measurable form of the paper's economic claim that self-testable state
-/// machines trade test length against area.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TestLengthRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// BIST structure (`DFF`, `PAT`, `SIG`, `PST`).
-    pub structure: String,
-    /// The fractional coverage target of the measurement.
-    pub target: f64,
-    /// Faults simulated (collapsed stuck-at list).
-    pub total_faults: usize,
-    /// Exact patterns-to-target; `None` when the target was out of reach
-    /// within the budget.
-    pub test_length: Option<usize>,
-    /// Patterns the early-stopped campaign actually applied (the segment
-    /// boundary at which the target vote fired, or the full budget).
-    pub patterns_applied: usize,
-    /// The campaign's pattern budget.
-    pub max_patterns: usize,
-    /// Coverage accumulated when the campaign ended.
-    pub coverage: f64,
-}
-
-impl ToJson for TestLengthRow {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        obj.field("benchmark", &self.benchmark)
-            .field("structure", &self.structure)
-            .field("target", self.target)
-            .field("total_faults", self.total_faults)
-            .field("test_length", self.test_length)
-            .field("patterns_applied", self.patterns_applied)
-            .field("max_patterns", self.max_patterns)
-            .field("coverage", self.coverage);
-        out.push_str(&obj.finish());
-    }
-}
-
-/// One fault's entry in a diagnosis report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DictionaryEntryReport {
-    /// Human-readable fault name (the `Display` form of the injection).
-    pub fault: String,
-    /// First pattern index whose response deviated, if any.
-    pub first_detect: Option<usize>,
-    /// The full-campaign MISR signature, as a hex string.
-    pub signature: String,
-    /// Detected, but the signature collides with the fault-free one.
-    pub aliased: bool,
-}
-
-impl ToJson for DictionaryEntryReport {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        obj.field("fault", &self.fault)
-            .field("first_detect", self.first_detect)
-            .field("signature", &self.signature)
-            .field("aliased", self.aliased);
-        out.push_str(&obj.finish());
-    }
-}
-
-/// A fault dictionary rendered for diagnosis reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DictionaryReport {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Fault-model name.
-    pub model: String,
-    /// Width of the signature register.
-    pub signature_bits: usize,
-    /// The fault-free signature, as a hex string.
-    pub reference_signature: String,
-    /// Patterns compacted into every signature.
-    pub patterns_applied: usize,
-    /// Detected faults whose signature collides with the reference.
-    pub aliased_count: usize,
-    /// Per-fault entries (possibly truncated by the caller).
-    pub entries: Vec<DictionaryEntryReport>,
-}
-
-impl DictionaryReport {
-    /// Renders a dictionary, keeping at most `max_entries` per-fault rows
-    /// (the summary fields always describe the complete dictionary).
-    pub fn from_dictionary(
-        benchmark: &str,
-        model: &str,
-        dictionary: &FaultDictionary,
-        max_entries: usize,
-    ) -> Self {
-        let hex_width = dictionary.signature_bits.div_ceil(4);
-        let hex = |sig: u64| format!("{sig:0width$x}", width = hex_width);
-        Self {
-            benchmark: benchmark.to_string(),
-            model: model.to_string(),
-            signature_bits: dictionary.signature_bits,
-            reference_signature: hex(dictionary.reference_signature),
-            patterns_applied: dictionary.patterns_applied,
-            aliased_count: dictionary.aliased_count(),
-            entries: dictionary
-                .entries
-                .iter()
-                .take(max_entries)
-                .map(|e| DictionaryEntryReport {
-                    fault: e.fault.to_string(),
-                    first_detect: e.first_detect,
-                    signature: hex(e.signature),
-                    aliased: dictionary.aliased(e),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl ToJson for DictionaryReport {
-    fn write_json(&self, out: &mut String) {
-        let entries: Vec<RawJson> = self.entries.iter().map(|e| RawJson(e.to_json())).collect();
-        let mut obj = JsonObject::new();
-        obj.field("benchmark", &self.benchmark)
-            .field("model", &self.model)
-            .field("signature_bits", self.signature_bits)
-            .field("reference_signature", &self.reference_signature)
-            .field("patterns_applied", self.patterns_applied)
-            .field("aliased_count", self.aliased_count)
-            .field("entries", entries);
-        out.push_str(&obj.finish());
-    }
-}
-
 impl ToJson for CampaignMetrics {
     fn write_json(&self, out: &mut String) {
         let mut obj = JsonObject::new();
@@ -552,46 +289,6 @@ impl CoverageComparison {
         } else {
             Some(pst as f64 / dff as f64)
         }
-    }
-}
-
-/// One row of the diagnosis-service benchmark: the on-disk artifact and
-/// query-path economics of one suite machine's dictionary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiagnosisServiceRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Faults in the dictionary (= artifact entries).
-    pub total_faults: usize,
-    /// Distinct signatures the dictionary indexes.
-    pub distinct_signatures: usize,
-    /// Size of the serialized artifact in bytes.
-    pub artifact_bytes: u64,
-    /// Wall-clock milliseconds to load + index the artifact (best of N).
-    pub load_ms: f64,
-    /// Batched lookups per second through one [`ServiceHandle`] thread.
-    ///
-    /// [`ServiceHandle`]: https://docs.rs/stfsm-serve
-    pub single_thread_qps: f64,
-    /// Batched lookups per second summed across concurrent handle
-    /// threads.
-    pub concurrent_qps: f64,
-    /// Threads of the concurrent measurement.
-    pub query_threads: usize,
-}
-
-impl ToJson for DiagnosisServiceRow {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        obj.field("benchmark", &self.benchmark)
-            .field("total_faults", self.total_faults)
-            .field("distinct_signatures", self.distinct_signatures)
-            .field("artifact_bytes", self.artifact_bytes as usize)
-            .field("load_ms", self.load_ms)
-            .field("single_thread_qps", self.single_thread_qps)
-            .field("concurrent_qps", self.concurrent_qps)
-            .field("query_threads", self.query_threads);
-        out.push_str(&obj.finish());
     }
 }
 
@@ -730,65 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_model_row_serializes() {
-        let row = FaultModelRow {
-            benchmark: "mod12".into(),
-            structure: "PST".into(),
-            model: "bridging".into(),
-            total_faults: 40,
-            detected_faults: 38,
-            fault_coverage: 0.95,
-            patterns_applied: 1024,
-        };
-        let json = row.to_json();
-        assert!(json.contains(r#""model":"bridging""#));
-        assert!(json.contains(r#""fault_coverage":0.95"#));
-        assert!(json.contains(r#""patterns_applied":1024"#));
-    }
-
-    #[test]
-    fn engine_timing_row_serializes() {
-        let row = EngineTimingRow {
-            benchmark: "scf".into(),
-            gates: 622,
-            total_faults: 19963,
-            max_patterns: 4096,
-            packed_ms: 18500.0,
-            differential_ms: 7700.0,
-            speedup: 18500.0 / 7700.0,
-            detection_patterns_identical: true,
-        };
-        let json = row.to_json();
-        assert!(json.contains(r#""benchmark":"scf""#));
-        assert!(json.contains(r#""total_faults":19963"#));
-        assert!(json.contains(r#""detection_patterns_identical":true"#));
-        assert!(json.contains(r#""differential_ms":7700"#));
-    }
-
-    #[test]
-    fn test_length_row_serializes() {
-        let row = TestLengthRow {
-            benchmark: "scf".into(),
-            structure: "PST".into(),
-            target: 0.9,
-            total_faults: 19963,
-            test_length: Some(731),
-            patterns_applied: 960,
-            max_patterns: 4096,
-            coverage: 0.91,
-        };
-        let json = row.to_json();
-        assert!(json.contains(r#""structure":"PST""#));
-        assert!(json.contains(r#""test_length":731"#));
-        assert!(json.contains(r#""patterns_applied":960"#));
-        let unreached = TestLengthRow {
-            test_length: None,
-            ..row
-        };
-        assert!(unreached.to_json().contains(r#""test_length":null"#));
-    }
-
-    #[test]
     fn telemetry_types_serialize() {
         let metrics = CampaignMetrics {
             events_drained: 123,
@@ -828,63 +466,5 @@ mod tests {
         assert!(json.contains(r#""workers":[{"worker":1,"start_ns":5,"end_ns":42}]"#));
         assert!(json.contains(r#""totals":{"#));
         assert!(json.contains(r#""metrics":{"#));
-    }
-
-    #[test]
-    fn dictionary_report_serializes_and_truncates() {
-        use stfsm_testsim::dictionary::{DictionaryEntry, FaultDictionary};
-        use stfsm_testsim::Injection;
-        let dictionary = FaultDictionary::new(
-            5,
-            0b10110,
-            vec![0b00001, 0b01010, 0b10110],
-            vec![32, 64, 96],
-            128,
-            vec![
-                DictionaryEntry {
-                    fault: Injection::StuckOutput {
-                        net: 3,
-                        value: true,
-                    },
-                    first_detect: Some(2),
-                    signature: 0b00111,
-                    segments: vec![0b00010, 0b01100, 0b00111],
-                },
-                DictionaryEntry {
-                    fault: Injection::DelayedTransition {
-                        net: 4,
-                        slow_to_rise: false,
-                    },
-                    first_detect: Some(9),
-                    signature: 0b10110,
-                    segments: vec![0b00001, 0b01110, 0b10110],
-                },
-                DictionaryEntry {
-                    fault: Injection::Bridge {
-                        victim: 7,
-                        aggressor: 1,
-                        wired_and: true,
-                    },
-                    first_detect: None,
-                    signature: 0b10110,
-                    segments: vec![0b00001, 0b01010, 0b10110],
-                },
-            ],
-        );
-        let report = DictionaryReport::from_dictionary("mod12", "mixed", &dictionary, 2);
-        // Truncation keeps the first two rows but the aliased count covers
-        // the whole dictionary (entry 1 aliases, entry 2 was never
-        // detected).
-        assert_eq!(report.entries.len(), 2);
-        assert_eq!(report.aliased_count, 1);
-        assert_eq!(report.reference_signature, "16");
-        assert_eq!(report.entries[0].fault, "net3/SA1");
-        assert!(!report.entries[0].aliased);
-        assert_eq!(report.entries[1].fault, "net4/STF");
-        assert!(report.entries[1].aliased);
-        let json = report.to_json();
-        assert!(json.contains(r#""entries":[{"fault":"net3/SA1""#));
-        assert!(json.contains(r#""signature_bits":5"#));
-        assert!(json.contains(r#""first_detect":2"#));
     }
 }

@@ -332,10 +332,10 @@ fn complete_assignment(
 }
 
 /// The number of product terms of the PST/SIG combinational logic (output
-/// functions plus MISR excitation functions) for a concrete encoding, using a
-/// single fast minimization pass.  This is the evaluation metric of Table 2.
+/// functions plus MISR excitation functions) for a concrete encoding.  This is
+/// the evaluation metric of Table 2.
 pub fn pst_product_terms(fsm: &Fsm, encoding: &StateEncoding, misr: &Misr) -> usize {
-    use stfsm_logic::espresso::{minimize_with, MinimizeConfig};
+    use stfsm_logic::espresso::minimize;
     use stfsm_logic::{Pla, PlaRow, Trit};
 
     let r = encoding.num_bits();
@@ -379,7 +379,7 @@ pub fn pst_product_terms(fsm: &Fsm, encoding: &StateEncoding, misr: &Misr) -> us
         pla.push_row(PlaRow { inputs, outputs })
             .expect("row widths are consistent");
     }
-    minimize_with(&pla, &MinimizeConfig::fast()).product_terms()
+    minimize(&pla).product_terms()
 }
 
 /// Generates candidate 0/1 partitions for the next column.

@@ -3,7 +3,7 @@
 //! An [`Injection`] tells a simulation engine how one fault patches one gate
 //! or pin of the netlist, without saying anything about the defect mechanism
 //! behind it.  Every fault model reduces its faults to this vocabulary, so
-//! the scalar, packed and multi-threaded engines of `stfsm-testsim` support
+//! the scalar, packed and differential engines of `stfsm-testsim` support
 //! any present or future model for free.
 
 use std::fmt;

@@ -7,14 +7,13 @@
 //!
 //! * [`Injection`] — the model-agnostic description of how one fault patches
 //!   one gate or pin during simulation.  The engines of `stfsm-testsim`
-//!   (scalar, 64-way packed and the sharded multi-threaded driver) consume
+//!   (scalar, 64-way packed and the cone-restricted differential) consume
 //!   injections and know nothing about the model that produced them.
 //! * [`FaultModel`] — the pluggable model interface: enumerate the fault
 //!   universe of a [`Netlist`](stfsm_bist::netlist::Netlist) and structurally
 //!   collapse it.
-//! * [`StuckAt`] — the classic single stuck-at model (migrated from
-//!   `stfsm-testsim::faults`; [`Fault`], [`FaultSite`] and [`FaultList`] are
-//!   re-exported from here for compatibility).
+//! * [`StuckAt`] — the classic single stuck-at model, over the universe
+//!   that [`Fault`], [`FaultSite`] and [`FaultList`] describe.
 //! * [`TransitionDelay`] — slow-to-rise / slow-to-fall gate-output faults,
 //!   simulated as a one-cycle-delayed value on the faulty lane.
 //! * [`Bridging`] — wired-AND / wired-OR shorts between physically adjacent

@@ -7,7 +7,7 @@ use stfsm_bist::netlist::Netlist;
 /// for collapsing structurally equivalent or undetectable faults.
 ///
 /// Implementations describe each fault as a model-agnostic [`Injection`], so
-/// every simulation engine (scalar, 64-way packed, multi-threaded) supports
+/// every simulation engine (scalar, 64-way packed, differential) supports
 /// every model without model-specific code — the way verification frameworks
 /// treat properties as pluggable checks.
 ///

@@ -1,9 +1,9 @@
 //! The single stuck-at fault model: enumeration, collapsing and the
 //! [`FaultModel`] implementation.
 //!
-//! [`Fault`], [`FaultSite`] and [`FaultList`] migrated here from
-//! `stfsm-testsim::faults` when fault models became a subsystem of their
-//! own; `stfsm-testsim` re-exports them for compatibility.
+//! [`Fault`], [`FaultSite`] and [`FaultList`] describe the stuck-at
+//! universe of a netlist; [`StuckAt`] turns it into the model-agnostic
+//! [`Injection`]s every simulation engine consumes.
 
 use crate::injection::Injection;
 use crate::model::FaultModel;
@@ -198,8 +198,8 @@ fn keep_when_collapsed(netlist: &Netlist, fault: &Fault) -> bool {
 /// The single stuck-at fault model (the paper's model).
 ///
 /// Enumeration and collapsing delegate to [`FaultList`], so a campaign over
-/// this model simulates exactly the fault universe of the classic
-/// `run_self_test` path, in the same order.
+/// this model simulates exactly [`FaultList::full`] (uncollapsed) or
+/// [`FaultList::collapsed`], in the same order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StuckAt;
 

@@ -3,7 +3,7 @@
 //! the number of product terms.
 
 use proptest::prelude::*;
-use stfsm_logic::espresso::{minimize, minimize_with, verify, MinimizeConfig};
+use stfsm_logic::espresso::{minimize, verify};
 use stfsm_logic::{Pla, Trit};
 
 /// Strategy: a random incompletely specified multi-output function given by
@@ -64,12 +64,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fast_config_is_also_correct(pla in arb_pla(4, 2)) {
-        let result = minimize_with(&pla, &MinimizeConfig::fast());
-        prop_assert!(verify(&pla, &result.cover));
     }
 
     #[test]

@@ -160,7 +160,6 @@ fn parse_engine(name: &str) -> Result<SimEngine, String> {
         "scalar" => Ok(SimEngine::Scalar),
         "packed" => Ok(SimEngine::Packed),
         "differential" => Ok(SimEngine::Differential),
-        "threaded" => Ok(SimEngine::Threaded),
         "auto" => Ok(SimEngine::Auto),
         other => Err(format!("unknown engine '{other}'")),
     }

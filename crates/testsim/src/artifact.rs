@@ -76,8 +76,8 @@ use crate::checkpoint::{identity_digest, Fnv1a64};
 use crate::coverage::CampaignConfig;
 use crate::diagnosis::Diagnosis;
 use crate::dictionary::{DictionaryEntry, FaultDictionary};
-use crate::faults::Injection;
 use stfsm_bist::netlist::Netlist;
+use stfsm_faults::Injection;
 
 /// Magic bytes opening every dictionary artifact.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"STFSMDCT";

@@ -30,13 +30,15 @@
 //! campaign at the same pattern count with the same detection sets —
 //! bit for bit, across engines and thread counts.
 //!
+//! [`Campaign`] is the only way to run fault simulation: the coverage,
+//! dictionary and diagnosis results all come out of its observers.
+//!
 //! # Observers
 //!
 //! * [`CoverageObserver`] — fault coverage, detection patterns and the
-//!   coverage curve (the body of the legacy coverage entry points);
+//!   coverage curve, one [`CoverageResult`] per section;
 //! * [`DictionaryObserver`] — full fault dictionaries with final and
-//!   per-segment intermediate MISR signatures (the body of the legacy
-//!   dictionary entry point);
+//!   per-segment intermediate MISR signatures;
 //! * [`DiagnosisObserver`](crate::diagnosis::DiagnosisObserver) — a
 //!   [`Diagnosis`](crate::diagnosis::Diagnosis) that maps an observed
 //!   failing signature back to ranked candidate faults across models;
@@ -85,12 +87,10 @@
 //! Every run fills a [`CampaignMetrics`](crate::telemetry::CampaignMetrics)
 //! counter set per segment, surfaced live on
 //! [`SegmentSnapshot::telemetry`] and in aggregate on
-//! [`CampaignOutcome::telemetry`].  Counters are always collected; the
-//! per-phase span timing (and the per-worker spans of
-//! [`SimEngine::Threaded`]) is gated by
-//! [`CampaignConfig::telemetry`](crate::coverage::CampaignConfig::telemetry).
-//! Neither ever changes a result bit — the telemetry-on/off runs are
-//! enforced bit-for-bit identical by the integration tests.
+//! [`CampaignOutcome::telemetry`], together with per-phase wall-clock spans
+//! and, when the differential engine runs more than one worker
+//! ([`Campaign::threads`]), per-worker spans.  Telemetry never feeds back
+//! into simulation, so it never changes a result bit.
 //!
 //! Counter glossary (each [`CampaignMetrics`](crate::telemetry::CampaignMetrics)
 //! field documents its exact accounting):
@@ -115,9 +115,9 @@
 //! from `on_finish`.  Its Chrome-trace exporter renders a run as a Trace
 //! Event Format file: open `chrome://tracing` (or
 //! <https://ui.perfetto.dev>), load the file, and read the segment
-//! timeline, the per-phase lane and — under [`SimEngine::Threaded`] — one
-//! lane per worker.  `examples/campaign_trace.rs` is the end-to-end
-//! recipe.
+//! timeline, the per-phase lane and — when the differential engine runs
+//! several workers — one lane per worker.  `examples/campaign_trace.rs` is
+//! the end-to-end recipe.
 //!
 //! # Migrating from the one-shot `observe()` API
 //!
@@ -199,10 +199,10 @@
 //! | [`CampaignError`] variant | When | Effect |
 //! |---|---|---|
 //! | `InvalidBlockWords` | plan time: `block_words` override ∉ {1, 4, 8} | `try_run` returns the error; nothing runs |
-//! | `InvalidThreads` | plan time: `threads` override is 0 or implausibly large | `try_run` returns the error; nothing runs |
+//! | `InvalidThreads` | plan time: `threads` is 0 or implausibly large | `try_run` returns the error; nothing runs |
 //! | `ZeroPatternBudget` | plan time: checkpoint/resume requested with a zero-pattern budget | `try_run` returns the error; nothing runs |
 //! | `ObserverFailure` | an observer panicked in `on_begin` / `on_segment` / `on_finish`, or reported a latched failure via [`CampaignObserver::failure`] | observer is latched out of the remaining lifecycle; the run completes and the failure lands on [`CampaignOutcome::incidents`] |
-//! | `WorkerPanic` | a threaded shard worker panicked *and* the deterministic single-threaded re-run of the quarantined shard panicked too | `try_run` returns the error (a recoverable panic is re-run transparently and only counted in [`CampaignMetrics::worker_panics_recovered`](crate::telemetry::CampaignMetrics::worker_panics_recovered)) |
+//! | `WorkerPanic` | a differential shard worker panicked *and* the deterministic single-threaded re-run of the quarantined shard panicked too | `try_run` returns the error (a recoverable panic is re-run transparently and only counted in [`CampaignMetrics::worker_panics_recovered`](crate::telemetry::CampaignMetrics::worker_panics_recovered)) |
 //! | `CheckpointIo` | a checkpoint file could not be read (resume) or written (mid-run) | resume: `try_run` returns the error; mid-run write: checkpointing is latched off, the run completes, the error lands on [`CampaignOutcome::incidents`] |
 //! | `CheckpointFormat` | a resume file parsed as something other than a version-1 checkpoint | `try_run` returns the error; nothing runs |
 //! | `CheckpointMismatch` | a structurally valid checkpoint belongs to a different campaign (digest, budget or pass kind) | `try_run` returns the error; nothing runs |
@@ -251,14 +251,13 @@ use crate::dictionary::{
     MAX_SIGNATURE_BITS,
 };
 use crate::error::{panic_message, CampaignError, ObserverPhase};
-use crate::faults::Injection;
 use crate::telemetry::{CampaignTelemetry, PhaseTimer, SegmentTelemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use stfsm_bist::netlist::Netlist;
 use stfsm_bist::BistStructure;
-use stfsm_faults::FaultModel;
+use stfsm_faults::{FaultModel, Injection};
 
 /// One fault universe of a campaign: a label (usually the fault-model
 /// name) and its injection list.
@@ -315,10 +314,10 @@ pub struct CampaignPlan {
     /// count; `None` when the resolved engine is not differential.  Purely
     /// informational: the width never changes any result bit.
     pub block_words: Option<usize>,
-    /// The number of worker threads the campaign will actually use: the
-    /// resolved thread count for [`SimEngine::Threaded`], `1` for every
-    /// other engine.  Purely informational — the merge discipline keeps
-    /// results identical for any worker count.
+    /// The number of worker threads the campaign will actually use:
+    /// [`CampaignConfig::threads`] for the differential engine, `1` for the
+    /// scalar and packed engines.  Purely informational — the merge
+    /// discipline keeps results identical for any worker count.
     pub threads: usize,
 }
 
@@ -338,8 +337,7 @@ pub struct SegmentSnapshot<'a> {
     /// `(fault index within the section, detecting pattern)` pairs, sorted
     /// by `(pattern, index)`.
     pub sections: &'a [Vec<(usize, usize)>],
-    /// The segment's engine telemetry: counters are always filled, phase
-    /// spans only when [`CampaignConfig::telemetry`] is on (its
+    /// The segment's engine telemetry: counters and phase spans (its
     /// `observer_ns` is still being measured while observers run, so it
     /// reads zero here; the final value lands on
     /// [`CampaignOutcome::telemetry`]).
@@ -443,9 +441,7 @@ pub struct CampaignOutcome {
     /// One outcome per declared section, in declaration order.
     pub sections: Vec<SectionOutcome>,
     /// The run's engine telemetry: one [`SegmentTelemetry`] per simulated
-    /// segment plus the folded totals.  Counters are always filled; phase
-    /// spans and worker lanes only when [`CampaignConfig::telemetry`] is
-    /// on.
+    /// segment plus the folded totals.
     pub telemetry: CampaignTelemetry,
     /// Failures the campaign recovered from without aborting: observer
     /// panics and latched observer failures ([`CampaignError::ObserverFailure`])
@@ -458,10 +454,9 @@ pub struct CampaignOutcome {
 }
 
 impl CampaignOutcome {
-    /// Assembles the [`CoverageResult`] of section `index` — bit-for-bit
-    /// what the legacy one-shot entry points produced for that fault list
-    /// (over [`CampaignOutcome::patterns_applied`] patterns when the
-    /// campaign stopped early).
+    /// Assembles the [`CoverageResult`] of section `index` (over
+    /// [`CampaignOutcome::patterns_applied`] patterns when the campaign
+    /// stopped early).
     pub fn coverage(&self, index: usize) -> CoverageResult {
         assemble_coverage(
             self.structure,
@@ -560,9 +555,13 @@ impl<'n, 'o> Campaign<'n, 'o> {
         self
     }
 
-    /// Sets the worker count of the [`SimEngine::Threaded`] engine.
+    /// Sets the worker count of the differential engine (1 by default).
+    /// The scalar and packed engines always run on the calling thread, so
+    /// the count takes effect whenever the engine resolves to
+    /// [`SimEngine::Differential`], chosen or by [`SimEngine::Auto`].  Any
+    /// count gives bit-for-bit the same results.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = Some(threads);
+        self.config.threads = threads;
         self
     }
 
@@ -686,13 +685,11 @@ impl<'n, 'o> Campaign<'n, 'o> {
                 .collect(),
             segments: segment_schedule(config.max_patterns),
             block_words: match engine {
-                SimEngine::Differential | SimEngine::Threaded => {
-                    Some(config.resolved_block_words(total_faults))
-                }
+                SimEngine::Differential => Some(config.resolved_block_words(total_faults)),
                 _ => None,
             },
             threads: match engine {
-                SimEngine::Threaded => config.effective_threads(),
+                SimEngine::Differential => config.threads,
                 _ => 1,
             },
         };
@@ -774,7 +771,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
         // stopped; the campaign ends at the first boundary where every
         // observer has.
         let mut voted = vec![false; observers.len()];
-        let timing = config.telemetry;
         let mut segment_telemetry: Vec<SegmentTelemetry> = Vec::new();
         let capture = checkpoint_to.is_some();
         let mut checkpoint_path = checkpoint_to;
@@ -809,7 +805,7 @@ impl<'n, 'o> Campaign<'n, 'o> {
                 sections: &per_section,
                 telemetry: &telemetry,
             };
-            let observer_timer = PhaseTimer::start(timing);
+            let observer_timer = PhaseTimer::start();
             let mut all_stopped = !observers.is_empty();
             for ((index, observer), vote) in observers.iter_mut().enumerate().zip(voted.iter_mut())
             {
@@ -1151,11 +1147,8 @@ fn assemble_stopped(
     )
 }
 
-/// The coverage sink: one [`CoverageResult`] per section, bit-for-bit what
-/// the legacy [`run_self_test`](crate::coverage::run_self_test) /
-/// [`run_injection_campaign`](crate::coverage::run_injection_campaign)
-/// entry points produce — those wrappers are now implemented on top of
-/// this observer.  A passive full-run observer: it never votes to stop.
+/// The coverage sink: one [`CoverageResult`] per section.  A passive
+/// full-run observer: it never votes to stop.
 #[derive(Debug, Default)]
 pub struct CoverageObserver {
     results: Vec<(String, CoverageResult)>,
@@ -1196,10 +1189,7 @@ impl CampaignObserver for CoverageObserver {
 }
 
 /// The dictionary sink: one shared [`FaultDictionary`] per section (final
-/// and per-segment intermediate MISR signatures included) — the body of
-/// the legacy
-/// [`build_fault_dictionary`](crate::dictionary::build_fault_dictionary)
-/// entry point, which is now a thin wrapper around this observer.  The
+/// and per-segment intermediate MISR signatures included).  The
 /// dictionaries are [`Arc`]-shared with the campaign outcome, so
 /// observing costs a pointer clone per section, not a deep copy.
 #[derive(Debug, Default)]
@@ -1432,8 +1422,6 @@ impl CampaignObserver for TestLengthObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::{run_injection_campaign, run_self_test, SelfTestConfig};
-    use crate::dictionary::build_fault_dictionary;
     use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
     use stfsm_bist::netlist::build_netlist;
     use stfsm_encode::StateEncoding;
@@ -1453,41 +1441,47 @@ mod tests {
         build_netlist("pst", &cover, &lay, BistStructure::Pst, Some(poly)).unwrap()
     }
 
-    #[test]
-    fn coverage_observer_equals_legacy_entry_points() {
-        let netlist = pst_netlist();
-        let config = SelfTestConfig {
-            max_patterns: 256,
-            ..Default::default()
-        };
-        let legacy = run_self_test(&netlist, &config);
-        let faults: Vec<Injection> = crate::faults::FaultList::collapsed(&netlist)
-            .faults()
-            .iter()
-            .map(|&f| f.into())
-            .collect();
-        let mut coverage = CoverageObserver::new();
-        Campaign::new(&netlist)
-            .config(config.campaign())
-            .faults("stuck_at", faults)
-            .observe(&mut coverage)
+    /// A one-section campaign over `faults` with no signature observer:
+    /// the drop-on-detect coverage pass.
+    fn coverage_alone(
+        netlist: &Netlist,
+        config: &CampaignConfig,
+        faults: &[Injection],
+    ) -> CoverageResult {
+        Campaign::new(netlist)
+            .config(config.clone())
+            .faults("faults", faults.to_vec())
+            .run()
+            .coverage(0)
+    }
+
+    /// A one-section campaign over `faults` with a dictionary observer:
+    /// the un-dropped signature pass.
+    fn dictionary_alone(
+        netlist: &Netlist,
+        config: &CampaignConfig,
+        faults: &[Injection],
+    ) -> FaultDictionary {
+        let mut dictionaries = DictionaryObserver::new();
+        Campaign::new(netlist)
+            .config(config.clone())
+            .faults("faults", faults.to_vec())
+            .observe(&mut dictionaries)
             .run();
-        assert_eq!(coverage.results().len(), 1);
-        assert_eq!(coverage.results()[0].0, "stuck_at");
-        assert_eq!(coverage.result().unwrap(), &legacy);
+        dictionaries.into_dictionaries().remove(0)
     }
 
     #[test]
     fn multi_section_campaign_matches_per_model_runs() {
         let netlist = pst_netlist();
-        let config = SelfTestConfig {
+        let config = CampaignConfig {
             max_patterns: 192,
             ..Default::default()
         };
         let mut coverage = CoverageObserver::new();
         let mut dictionaries = DictionaryObserver::new();
         let models = all_models();
-        let mut campaign = Campaign::new(&netlist).config(config.campaign());
+        let mut campaign = Campaign::new(&netlist).config(config.clone());
         for model in &models {
             campaign = campaign.model(model.as_ref());
         }
@@ -1499,21 +1493,21 @@ mod tests {
         assert!(!outcome.stopped_early());
         for (i, model) in models.iter().enumerate() {
             let faults = model.fault_list(&netlist, true);
-            let legacy_coverage = run_injection_campaign(&netlist, &faults, &config);
-            let legacy_dictionary = build_fault_dictionary(&netlist, &faults, &config);
+            let single_coverage = coverage_alone(&netlist, &config, &faults);
+            let single_dictionary = dictionary_alone(&netlist, &config, &faults);
             assert_eq!(coverage.results()[i].0, model.name());
-            assert_eq!(coverage.results()[i].1, legacy_coverage, "{}", model.name());
+            assert_eq!(coverage.results()[i].1, single_coverage, "{}", model.name());
             assert_eq!(
                 dictionaries.dictionaries()[i].1.as_ref(),
-                &legacy_dictionary,
+                &single_dictionary,
                 "{}",
                 model.name()
             );
             assert_eq!(
                 outcome.sections[i].detection_pattern,
-                legacy_coverage.detection_pattern
+                single_coverage.detection_pattern
             );
-            assert_eq!(outcome.coverage(i), legacy_coverage);
+            assert_eq!(outcome.coverage(i), single_coverage);
         }
         assert_eq!(
             outcome.total_faults(),
@@ -1591,26 +1585,25 @@ mod tests {
         // un-dropped pass; its results must still equal the standalone
         // drop-on-detect pass.
         let netlist = pst_netlist();
-        let config = SelfTestConfig {
+        let config = CampaignConfig {
             max_patterns: 256,
             ..Default::default()
         };
-        let faults = stfsm_faults::FaultModel::fault_list(&StuckAt, &netlist, true);
+        let faults = StuckAt.fault_list(&netlist, true);
         let mut coverage = CoverageObserver::new();
         let mut dictionaries = DictionaryObserver::new();
         Campaign::new(&netlist)
-            .config(config.campaign())
+            .config(config.clone())
             .faults("stuck_at", faults.clone())
             .observe(&mut coverage)
             .observe(&mut dictionaries)
             .run();
-        let legacy = run_injection_campaign(&netlist, &faults, &config);
-        assert_eq!(coverage.result().unwrap(), &legacy);
-        let dictionary = dictionaries.dictionary().unwrap();
         assert_eq!(
-            dictionary,
-            &build_fault_dictionary(&netlist, &faults, &config)
+            coverage.result().unwrap(),
+            &coverage_alone(&netlist, &config, &faults)
         );
+        let dictionary = dictionaries.dictionary().unwrap();
+        assert_eq!(dictionary, &dictionary_alone(&netlist, &config, &faults));
     }
 
     /// A lifecycle probe that records every hook invocation.
@@ -1725,34 +1718,31 @@ mod tests {
         assert!(stopper.reached());
         assert_eq!(outcome.patterns_applied, 256);
         assert!(!outcome.stopped_early());
-        // And the full-run observer's result equals the legacy path.
-        let faults = stfsm_faults::FaultModel::fault_list(&StuckAt, &netlist, true);
-        let legacy = run_injection_campaign(
-            &netlist,
-            &faults,
-            &SelfTestConfig {
-                max_patterns: 256,
-                ..Default::default()
-            },
-        );
-        assert_eq!(full_run.result().unwrap(), &legacy);
+        // And the full-run observer's result equals an observer-free run.
+        let alone = Campaign::new(&netlist)
+            .model(&StuckAt)
+            .patterns(256)
+            .run()
+            .coverage(0);
+        assert_eq!(full_run.result().unwrap(), &alone);
     }
 
     #[test]
     fn coverage_target_observer_stops_across_all_engines_identically() {
         let netlist = pst_netlist();
         let mut reference: Option<(usize, Vec<Option<usize>>)> = None;
-        for engine in [
-            SimEngine::Scalar,
-            SimEngine::Packed,
-            SimEngine::Differential,
-            SimEngine::Threaded,
-            SimEngine::Auto,
+        for (engine, threads) in [
+            (SimEngine::Scalar, 1),
+            (SimEngine::Packed, 1),
+            (SimEngine::Differential, 1),
+            (SimEngine::Differential, 2),
+            (SimEngine::Auto, 1),
         ] {
             let mut target = CoverageTargetObserver::new(0.5);
             let outcome = Campaign::new(&netlist)
                 .model(&StuckAt)
                 .engine(engine)
+                .threads(threads)
                 .patterns(4096)
                 .observe(&mut target)
                 .run();
@@ -1812,13 +1802,11 @@ mod tests {
         assert!(length <= outcome.patterns_applied);
         // The exact crossing matches the full-budget coverage result's
         // test-length metric.
-        let full = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 2048,
-                ..Default::default()
-            },
-        );
+        let full = Campaign::new(&netlist)
+            .model(&StuckAt)
+            .patterns(2048)
+            .run()
+            .coverage(0);
         assert_eq!(full.test_length_for_coverage(0.5), Some(length));
     }
 

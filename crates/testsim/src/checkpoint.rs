@@ -81,9 +81,9 @@ use std::path::Path;
 use crate::coverage::{CampaignConfig, StateStimulation};
 use crate::error::CampaignError;
 use crate::failpoints;
-use crate::faults::Injection;
 use crate::telemetry::CampaignMetrics;
 use stfsm_bist::netlist::Netlist;
+use stfsm_faults::Injection;
 
 /// Current checkpoint format version, written in (and required of) the
 /// header line.  See the [module docs](self) for the bump policy.

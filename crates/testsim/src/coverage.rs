@@ -18,44 +18,44 @@
 //! masking probability of an `r`-bit MISR is reported alongside the results.
 
 use crate::checkpoint::{EngineSnapshot, SurvivorRecord};
+use crate::engine::PackedCore;
 use crate::error::{CampaignError, MAX_THREADS};
-use crate::faults::{FaultList, Injection};
-use crate::packed::{PackedSimulator, FAULT_LANES};
+use crate::packed::FAULT_LANES;
 use crate::patterns::{PairedPatterns, PatternSource, RandomPatterns, WeightedPatterns};
 use crate::sim::Simulator;
 use crate::telemetry::{CampaignMetrics, PhaseTimer, SegmentTelemetry};
 use stfsm_bist::netlist::Netlist;
 use stfsm_bist::BistStructure;
+use stfsm_faults::Injection;
 use stfsm_lfsr::bitvec::broadcast;
 
 /// Which simulation engine drives the fault-coverage campaign.
 ///
 /// All engines produce bit-for-bit identical [`CoverageResult`]s for any
-/// fault model; the packed engine simulates up to [`FAULT_LANES`] faulty
-/// machines per word operation and is roughly an order of magnitude faster
-/// than the scalar reference, the differential engine restricts each
-/// multi-word lane block to the fanout cones of its faults on top of that,
-/// and the threaded engine shards the fault list over differential workers.
-/// The scalar engine is retained as the differential-testing reference and
-/// for debugging single faults.
+/// fault model; the packed engine simulates up to 63 faulty machines per
+/// word operation and is roughly an order of magnitude faster than the
+/// scalar reference, and the differential engine restricts each multi-word
+/// lane block to the fanout cones of its faults on top of that.  The
+/// scalar engine is retained as the differential-testing reference and for
+/// debugging single faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
     /// One fault at a time on the boolean [`Simulator`].
     Scalar,
-    /// 63 faults per chunk on the word-parallel [`PackedSimulator`].
+    /// 63 faults per chunk on one 64-lane word, every plan step evaluated
+    /// every cycle.
     Packed,
     /// Cone-restricted differential simulation: the good machine runs once
-    /// per pattern, faults run in 255-lane multi-word blocks that evaluate
-    /// only the plan steps their active faults (or diverged register
-    /// states) can actually perturb (see [`crate::differential`]).
+    /// per pattern, faults run in multi-word lane blocks that evaluate only
+    /// the plan steps their active faults (or diverged register states) can
+    /// actually perturb (see [`crate::differential`]).  The blocks are
+    /// sharded across [`CampaignConfig::threads`] workers
+    /// (`std::thread::scope`), all reading one shared good-machine trace
+    /// per campaign segment.  The block split is a deterministic function
+    /// of the fault list alone and every fault's trajectory is independent
+    /// of its block and worker, so the merged result is bit-for-bit
+    /// independent of the worker count.
     Differential,
-    /// The fault list sharded across [`CampaignConfig::threads`]
-    /// differential workers (`std::thread::scope`), all reading one shared
-    /// good-machine trace per campaign segment.  The block split is a
-    /// deterministic function of the fault list alone and every fault's
-    /// trajectory is independent of its block and worker, so the merged
-    /// result is bit-for-bit independent of the thread count.
-    Threaded,
     /// Pick [`SimEngine::Packed`] or [`SimEngine::Differential`] per
     /// machine size: the differential engine's cone bookkeeping only pays
     /// off once the netlist is large relative to the average fault cone
@@ -78,9 +78,10 @@ impl SimEngine {
     /// packed parity single-threaded — the per-cycle worklist and
     /// divergence bookkeeping has to amortise over enough quiescent logic
     /// — while `planet` (249 gates) and `scf` (622) win outright.  200
-    /// splits the measured suite cleanly; multi-core hosts shift the
-    /// crossover lower still, but those callers pick
-    /// [`SimEngine::Threaded`] explicitly.
+    /// splits the measured suite cleanly.  Extra workers
+    /// ([`CampaignConfig::threads`]) speed up only the differential engine,
+    /// so multi-core callers may pick [`SimEngine::Differential`] below the
+    /// threshold.
     pub const AUTO_DIFFERENTIAL_GATES: usize = 200;
 
     /// Resolves [`SimEngine::Auto`] against a concrete netlist; every other
@@ -120,19 +121,12 @@ impl StateStimulation {
     }
 }
 
-/// The simulation knobs shared by every campaign entry point — the
-/// [`Campaign`](crate::campaign::Campaign) builder, the legacy
-/// [`run_self_test`] / [`run_injection_campaign`] wrappers and the
-/// dictionary / diagnosis passes.
+/// The simulation settings of a [`Campaign`](crate::campaign::Campaign):
+/// every pass it runs (coverage, dictionary, diagnosis) reads them.
 ///
-/// Fault *enumeration* knobs do not belong here: which faults run is the
+/// Fault *enumeration* does not belong here: which faults run is the
 /// business of the fault model (or of the caller-supplied list), not of the
-/// simulation configuration.  [`SelfTestConfig`] remains as a compatibility
-/// shell that carries the stuck-at enumeration knobs on top of this
-/// configuration, with `From` conversions in both directions; the shared
-/// simulation knobs round-trip losslessly, while converting a
-/// [`CampaignConfig`] *into* a [`SelfTestConfig`] fills the enumeration
-/// knobs (`collapse_faults`, `fault_sample`) with their defaults.
+/// simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Maximum number of test patterns (clock cycles) applied.
@@ -148,17 +142,10 @@ pub struct CampaignConfig {
     /// Simulation engine ([`SimEngine::Auto`] by default, which picks
     /// packed vs differential per machine size).
     pub engine: SimEngine,
-    /// Worker count of the [`SimEngine::Threaded`] engine; `None` uses
-    /// [`std::thread::available_parallelism`].
-    pub threads: Option<usize>,
-    /// Event-driven worklist scheduling of the differential engine; `false`
-    /// falls back to the v1 full-cone sweep.  Bit-for-bit identical either
-    /// way — a diagnostic/test knob, not a semantic one.
-    pub differential_events: bool,
-    /// Per-word divergence widening of the differential engine; `false`
-    /// reproduces the v1 per-block decision.  Bit-for-bit identical either
-    /// way — a diagnostic/test knob, not a semantic one.
-    pub per_word_widening: bool,
+    /// Worker count of the differential engine (1 by default, at most
+    /// [`MAX_THREADS`]); the scalar and packed engines always run on the
+    /// calling thread.  Any count is bit-for-bit identical.
+    pub threads: usize,
     /// Lane-block word count of the differential engine (1, 4 or 8);
     /// `None` picks automatically from the fault-list size.  Any value is
     /// bit-for-bit identical — block packing never changes results.
@@ -170,13 +157,6 @@ pub struct CampaignConfig {
     /// changes the stimulus stream (and therefore the campaign identity),
     /// but stays bit-for-bit identical across engines and thread counts.
     pub paired_patterns: bool,
-    /// Wall-clock span timing of the campaign telemetry (the phase and
-    /// worker spans of [`crate::telemetry::SegmentTelemetry`]).  `false`
-    /// zeroes every timestamp; the [`crate::telemetry::CampaignMetrics`]
-    /// counters are collected regardless (they are plain increments on
-    /// state the engines already touch).  Results are bit-for-bit
-    /// identical either way — telemetry never feeds back into simulation.
-    pub telemetry: bool,
 }
 
 impl Default for CampaignConfig {
@@ -187,31 +167,14 @@ impl Default for CampaignConfig {
             input_weights: None,
             stimulation: None,
             engine: SimEngine::default(),
-            threads: None,
-            differential_events: true,
-            per_word_widening: true,
+            threads: 1,
             block_words: None,
             paired_patterns: false,
-            telemetry: true,
         }
     }
 }
 
 impl CampaignConfig {
-    /// The worker count the [`SimEngine::Threaded`] engine will use.
-    ///
-    /// An explicit `Some(0)` is clamped to 1 (a campaign always needs at
-    /// least one worker); `None` defaults to
-    /// [`std::thread::available_parallelism`] (falling back to 1 when the
-    /// host cannot report its parallelism).
-    pub fn effective_threads(&self) -> usize {
-        self.threads.map(|t| t.max(1)).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    }
-
     /// The stimulation mode a campaign over `netlist` will use: the
     /// explicit override if set, the structure's natural mode otherwise.
     pub fn resolved_stimulation(&self, netlist: &Netlist) -> StateStimulation {
@@ -221,15 +184,13 @@ impl CampaignConfig {
 
     /// The lane-block word count a differential campaign over `num_faults`
     /// faults resolves to: the explicit [`CampaignConfig::block_words`]
-    /// override snapped to a supported width (1, 4 or 8), else the
-    /// narrowest block that still packs the whole list into one block —
+    /// override (one of 1, 4 or 8, see [`CampaignConfig::validate`]), else
+    /// the narrowest block that still packs the whole list into one block —
     /// a short fault list gains nothing from wide blocks but would pay
     /// their larger cone unions.
     pub fn resolved_block_words(&self, num_faults: usize) -> usize {
         match self.block_words {
-            Some(w) if w <= 1 => 1,
-            Some(w) if w <= 4 => 4,
-            Some(_) => 8,
+            Some(w) => w,
             // 63 / 255 fault lanes at W = 1 / 4 (lane 0 is the reference).
             None if num_faults <= FAULT_LANES => 1,
             None if num_faults < 4 * 64 => 4,
@@ -240,149 +201,21 @@ impl CampaignConfig {
     /// Validates the configuration the way
     /// [`Campaign::try_run`](crate::campaign::Campaign::try_run) does at
     /// plan time: an explicit [`CampaignConfig::block_words`] must be one
-    /// of the supported widths (1, 4 or 8) and an explicit
-    /// [`CampaignConfig::threads`] must lie in `1..=`[`MAX_THREADS`].
-    ///
-    /// The legacy resolution helpers
-    /// ([`CampaignConfig::resolved_block_words`],
-    /// [`CampaignConfig::effective_threads`]) keep their historical
-    /// snapping and clamping for the compatibility wrappers; `try_run`
-    /// rejects a nonsensical configuration with a typed error instead of
-    /// silently guessing.
+    /// of the supported widths (1, 4 or 8) and [`CampaignConfig::threads`]
+    /// must lie in `1..=`[`MAX_THREADS`].  `try_run` rejects a nonsensical
+    /// configuration with a typed error instead of silently guessing.
     pub fn validate(&self) -> Result<(), CampaignError> {
         if let Some(w) = self.block_words {
             if !matches!(w, 1 | 4 | 8) {
                 return Err(CampaignError::InvalidBlockWords { requested: w });
             }
         }
-        if let Some(t) = self.threads {
-            if t == 0 || t > MAX_THREADS {
-                return Err(CampaignError::InvalidThreads { requested: t });
-            }
+        if self.threads == 0 || self.threads > MAX_THREADS {
+            return Err(CampaignError::InvalidThreads {
+                requested: self.threads,
+            });
         }
         Ok(())
-    }
-
-    /// The resolved differential-engine tuning of one campaign, bundled so
-    /// the coverage, dictionary and diagnosis passes dispatch identically.
-    pub(crate) fn diff_tuning(&self, num_faults: usize) -> DiffTuning {
-        DiffTuning {
-            events: self.differential_events,
-            per_word: self.per_word_widening,
-            words: self.resolved_block_words(num_faults),
-        }
-    }
-}
-
-/// The resolved differential-engine tuning knobs of a campaign: event-driven
-/// scheduling, per-word widening and the lane-block word count.  Every
-/// combination is bit-for-bit identical; the bundle only chooses how much
-/// work the engine skips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DiffTuning {
-    pub(crate) events: bool,
-    pub(crate) per_word: bool,
-    pub(crate) words: usize,
-}
-
-/// Configuration of a self-test campaign: the shared [`CampaignConfig`]
-/// simulation knobs plus the stuck-at fault-enumeration knobs of
-/// [`run_self_test`].
-///
-/// Kept as the compatibility configuration of the legacy entry points;
-/// new code should build a [`CampaignConfig`] (or convert with
-/// [`SelfTestConfig::campaign`] / the `From` impls) and drive a
-/// [`Campaign`](crate::campaign::Campaign).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelfTestConfig {
-    /// Maximum number of test patterns (clock cycles) applied.
-    pub max_patterns: usize,
-    /// Seed of the pattern generators.
-    pub seed: u64,
-    /// Optional per-input one-probabilities (weighted random test); `None`
-    /// uses unbiased patterns.
-    pub input_weights: Option<Vec<f64>>,
-    /// Use the structurally collapsed fault list instead of the full one.
-    pub collapse_faults: bool,
-    /// Keep only every n-th fault (1 = all faults); used to bound campaigns
-    /// on very large netlists.
-    pub fault_sample: usize,
-    /// Override of the state stimulation mode; `None` derives it from the
-    /// netlist's structure.
-    pub stimulation: Option<StateStimulation>,
-    /// Simulation engine ([`SimEngine::Auto`] by default, which picks
-    /// packed vs differential per machine size).
-    pub engine: SimEngine,
-    /// Worker count of the [`SimEngine::Threaded`] engine; `None` uses
-    /// [`std::thread::available_parallelism`].
-    pub threads: Option<usize>,
-}
-
-impl Default for SelfTestConfig {
-    fn default() -> Self {
-        CampaignConfig::default().into()
-    }
-}
-
-impl SelfTestConfig {
-    /// The shared simulation knobs of this configuration (everything except
-    /// the stuck-at enumeration fields); the differential tuning knobs the
-    /// compatibility shell does not carry take their defaults.
-    ///
-    /// Keeps the legacy clamping contract: a `threads` override of zero is
-    /// clamped into the valid range (historically "at least one worker")
-    /// rather than rejected, so the compatibility wrappers never trip the
-    /// plan-time validation of
-    /// [`Campaign::try_run`](crate::campaign::Campaign::try_run).
-    pub fn campaign(&self) -> CampaignConfig {
-        CampaignConfig {
-            max_patterns: self.max_patterns,
-            seed: self.seed,
-            input_weights: self.input_weights.clone(),
-            stimulation: self.stimulation,
-            engine: self.engine,
-            threads: self.threads.map(|t| t.clamp(1, MAX_THREADS)),
-            ..CampaignConfig::default()
-        }
-    }
-
-    /// The worker count the [`SimEngine::Threaded`] engine will use (see
-    /// [`CampaignConfig::effective_threads`]).
-    pub fn effective_threads(&self) -> usize {
-        self.campaign().effective_threads()
-    }
-}
-
-impl From<&SelfTestConfig> for CampaignConfig {
-    fn from(config: &SelfTestConfig) -> Self {
-        config.campaign()
-    }
-}
-
-impl From<SelfTestConfig> for CampaignConfig {
-    fn from(config: SelfTestConfig) -> Self {
-        config.campaign()
-    }
-}
-
-impl From<CampaignConfig> for SelfTestConfig {
-    fn from(config: CampaignConfig) -> Self {
-        Self {
-            max_patterns: config.max_patterns,
-            seed: config.seed,
-            input_weights: config.input_weights,
-            collapse_faults: true,
-            fault_sample: 1,
-            stimulation: config.stimulation,
-            engine: config.engine,
-            threads: config.threads,
-        }
-    }
-}
-
-impl From<&CampaignConfig> for SelfTestConfig {
-    fn from(config: &CampaignConfig) -> Self {
-        config.clone().into()
     }
 }
 
@@ -457,60 +290,6 @@ pub(crate) fn test_length_from_cycles(
     Some(cycles[needed - 1] + 1)
 }
 
-/// Runs a single stuck-at self-test campaign on a netlist (the paper's
-/// fault model; [`SelfTestConfig::collapse_faults`] and
-/// [`SelfTestConfig::fault_sample`] select the fault list).
-///
-/// Legacy entry point, kept as a thin wrapper: it enumerates the stuck-at
-/// list and forwards to [`run_injection_campaign`], which itself drives a
-/// [`Campaign`](crate::campaign::Campaign) with a single
-/// [`CoverageObserver`](crate::campaign::CoverageObserver).  New code
-/// should use the campaign builder directly.
-///
-/// Degenerate campaigns are total: an empty fault list or
-/// `max_patterns == 0` yields a zero-coverage result instead of panicking.
-pub fn run_self_test(netlist: &Netlist, config: &SelfTestConfig) -> CoverageResult {
-    let fault_list = if config.collapse_faults {
-        FaultList::collapsed(netlist)
-    } else {
-        FaultList::full(netlist)
-    };
-    let fault_list = fault_list.sampled(config.fault_sample.max(1));
-    let injections: Vec<Injection> = fault_list.faults().iter().map(|&f| f.into()).collect();
-    run_injection_campaign(netlist, &injections, config)
-}
-
-/// Runs a self-test campaign over an explicit, model-agnostic fault list:
-/// `faults[i]` occupies index `i` of [`CoverageResult::detection_pattern`].
-/// The [`SelfTestConfig::collapse_faults`] and
-/// [`SelfTestConfig::fault_sample`] knobs do not apply — enumeration and
-/// collapsing already happened in the fault model that produced `faults`
-/// (see `stfsm_faults::FaultModel`).
-///
-/// Legacy entry point, kept as a thin wrapper over the unified
-/// [`Campaign`](crate::campaign::Campaign) API (one section, one
-/// [`CoverageObserver`](crate::campaign::CoverageObserver)); the result is
-/// bit-for-bit what the pre-campaign implementation produced.
-///
-/// Degenerate campaigns are total: an empty fault list or
-/// `max_patterns == 0` yields a zero-coverage result instead of panicking.
-pub fn run_injection_campaign(
-    netlist: &Netlist,
-    faults: &[Injection],
-    config: &SelfTestConfig,
-) -> CoverageResult {
-    let mut coverage = crate::campaign::CoverageObserver::new();
-    crate::campaign::Campaign::new(netlist)
-        .config(config.campaign())
-        .faults("faults", faults.to_vec())
-        .observe(&mut coverage)
-        .run();
-    coverage
-        .into_results()
-        .pop()
-        .expect("a one-section campaign yields one coverage result")
-}
-
 /// First segment length of the doubling compaction schedule.
 const FIRST_SEGMENT: usize = 64;
 
@@ -519,7 +298,7 @@ const FIRST_SEGMENT: usize = 64;
 /// … patterns), capped at `total_cycles`.  The last boundary always equals
 /// `total_cycles`; a zero-pattern campaign has no segments.
 ///
-/// Every engine — scalar, packed, differential, threaded — advances
+/// Every engine — scalar, packed, differential at any worker count — advances
 /// through exactly these segments, compacts survivors only at these
 /// boundaries, and reports progress to streaming
 /// [`CampaignObserver`](crate::campaign::CampaignObserver)s only here.
@@ -557,8 +336,8 @@ pub(crate) struct SegmentReport<'a> {
     /// the campaign layer armed checkpointing
     /// ([`PassPersistence::capture`]); `None` otherwise.
     pub(crate) snapshot: Option<EngineSnapshot>,
-    /// The segment's telemetry record: counter deltas, phase spans (zeroed
-    /// when span timing is off) and threaded worker spans.
+    /// The segment's telemetry record: counter deltas, phase spans and
+    /// per-worker spans.
     pub(crate) telemetry: SegmentTelemetry,
 }
 
@@ -637,7 +416,6 @@ fn drive_segments(
     num_faults: usize,
     boundaries: &[usize],
     runner: &mut dyn SegmentRunner,
-    timing: bool,
     persist: &PassPersistence<'_>,
     on_segment: &mut dyn FnMut(&SegmentReport<'_>) -> bool,
 ) -> (Vec<Option<usize>>, usize) {
@@ -647,7 +425,7 @@ fn drive_segments(
     // boundaries the checkpoint covers are skipped (their detections were
     // stored), keeping the true segment indices for the live remainder.
     let mut from = persist.resume_from();
-    let epoch = PhaseTimer::start(timing);
+    let epoch = PhaseTimer::start();
     for (segment, &to) in boundaries.iter().enumerate() {
         if to <= from {
             continue;
@@ -723,19 +501,12 @@ pub(crate) fn detect_streaming(
     on_segment: &mut dyn FnMut(&SegmentReport<'_>) -> bool,
 ) -> DetectOutcome {
     let boundaries = segment_schedule(config.max_patterns);
-    let timing = config.telemetry;
     if faults.is_empty() || config.max_patterns == 0 {
         // Nothing to simulate; still walk the schedule so streaming
         // observers see the same boundaries they would on any campaign.
         let mut noop = NoopSegments;
-        let (detection_pattern, patterns_applied) = drive_segments(
-            faults.len(),
-            &boundaries,
-            &mut noop,
-            timing,
-            persist,
-            on_segment,
-        );
+        let (detection_pattern, patterns_applied) =
+            drive_segments(faults.len(), &boundaries, &mut noop, persist, on_segment);
         return DetectOutcome {
             detection_pattern,
             patterns_applied,
@@ -762,18 +533,11 @@ pub(crate) fn detect_streaming(
         num_faults: usize,
         boundaries: &[usize],
         mut runner: R,
-        timing: bool,
         persist: &PassPersistence<'_>,
         on_segment: &mut dyn FnMut(&SegmentReport<'_>) -> bool,
     ) -> DetectOutcome {
-        let (detection_pattern, patterns_applied) = drive_segments(
-            num_faults,
-            boundaries,
-            &mut runner,
-            timing,
-            persist,
-            on_segment,
-        );
+        let (detection_pattern, patterns_applied) =
+            drive_segments(num_faults, boundaries, &mut runner, persist, on_segment);
         DetectOutcome {
             detection_pattern,
             patterns_applied,
@@ -782,59 +546,33 @@ pub(crate) fn detect_streaming(
     }
     match config.engine.resolve(netlist) {
         SimEngine::Scalar => {
-            let mut runner = ScalarSegments::new(netlist, faults, stimulus, stimulation, timing);
+            let mut runner = ScalarSegments::new(netlist, faults, stimulus, stimulation);
             if let Some((from, generated, reference_state, survivors)) = resume_detect {
                 runner.restore(faults, reference_state, survivors, from, generated);
             }
-            drive(
-                faults.len(),
-                &boundaries,
-                runner,
-                timing,
-                persist,
-                on_segment,
-            )
+            drive(faults.len(), &boundaries, runner, persist, on_segment)
         }
         SimEngine::Packed => {
-            let mut runner = PackedSegments::new(netlist, faults, stimulus, stimulation, timing);
+            let mut runner = PackedSegments::new(netlist, faults, stimulus, stimulation);
             if let Some((from, generated, reference_state, survivors)) = resume_detect {
                 runner.restore(faults, reference_state, survivors, from, generated);
             }
-            drive(
-                faults.len(),
-                &boundaries,
-                runner,
-                timing,
-                persist,
-                on_segment,
-            )
+            drive(faults.len(), &boundaries, runner, persist, on_segment)
         }
-        engine @ (SimEngine::Differential | SimEngine::Threaded) => {
-            let threads = match engine {
-                SimEngine::Threaded => config.effective_threads(),
-                _ => 1,
-            };
+        SimEngine::Differential => {
             let mut runner = crate::differential::DiffSegments::new(
                 netlist,
                 faults,
                 stimulus,
                 stimulation,
-                threads,
-                config.diff_tuning(faults.len()),
+                config.threads,
+                config.resolved_block_words(faults.len()),
                 good_cache,
-                timing,
             );
             if let Some((from, generated, reference_state, survivors)) = resume_detect {
                 runner.restore(faults, reference_state, survivors, from, generated);
             }
-            drive(
-                faults.len(),
-                &boundaries,
-                runner,
-                timing,
-                persist,
-                on_segment,
-            )
+            drive(faults.len(), &boundaries, runner, persist, on_segment)
         }
         SimEngine::Auto => unreachable!("SimEngine::resolve never returns Auto"),
     }
@@ -964,8 +702,6 @@ struct ScalarSegments<'a> {
     /// The fault-free machine's register state at the segment start.
     reference_state: Vec<bool>,
     alive: Vec<AliveFault>,
-    /// Span timing enabled; counters are collected regardless.
-    timing: bool,
     /// Telemetry of the segment in flight, drained by
     /// [`SegmentRunner::telemetry_snapshot`].
     metrics: CampaignMetrics,
@@ -980,7 +716,6 @@ impl<'a> ScalarSegments<'a> {
         faults: &[Injection],
         mut stimulus: Stimulus,
         stimulation: StateStimulation,
-        timing: bool,
     ) -> Self {
         let num_state = netlist.flip_flops().len();
         // Scan initialisation needs the first random state up front.
@@ -992,7 +727,6 @@ impl<'a> ScalarSegments<'a> {
             stimulation,
             reference_state: init_state.clone(),
             alive: initial_alive(faults, &init_state),
-            timing,
             metrics: CampaignMetrics::default(),
             counted_generated: 0,
         }
@@ -1025,14 +759,14 @@ impl SegmentRunner for ScalarSegments<'_> {
         if self.alive.is_empty() {
             return;
         }
-        let stim_timer = PhaseTimer::start(self.timing);
+        let stim_timer = PhaseTimer::start();
         self.stimulus.ensure(to);
         self.metrics.stimulus_patterns +=
             (self.stimulus.generated_cycles() - self.counted_generated) as u64;
         self.counted_generated = self.stimulus.generated_cycles();
         self.metrics.stimulus_ns += stim_timer.elapsed_ns();
         self.metrics.cycles_simulated += (to - from) as u64;
-        let good_timer = PhaseTimer::start(self.timing);
+        let good_timer = PhaseTimer::start();
         let num_state = self.netlist.flip_flops().len();
         // Fault-free reference observations of this segment.
         let mut good = Simulator::new(self.netlist);
@@ -1049,7 +783,7 @@ impl SegmentRunner for ScalarSegments<'_> {
         self.reference_state = good.state().to_vec();
         self.metrics.good_trace_ns += good_timer.elapsed_ns();
 
-        let eval_timer = PhaseTimer::start(self.timing);
+        let eval_timer = PhaseTimer::start();
         let mut survivors = Vec::with_capacity(self.alive.len());
         let mut obs = Vec::with_capacity(self.netlist.observation_points().len());
         for alive_fault in self.alive.drain(..) {
@@ -1216,7 +950,7 @@ impl LaneTables {
         let m = netlist.primary_inputs().len();
         let combos = 1usize << (r + m);
         let lanes = faults.len() + 1;
-        let mut sim = PackedSimulator::with_injections(netlist, faults);
+        let mut sim = PackedCore::<1>::compile(netlist, faults);
         let mut obs_sig = vec![0u32; lanes * combos];
         let mut next_state = vec![0u16; lanes * combos];
         let mut state_bits = vec![false; r];
@@ -1228,16 +962,16 @@ impl LaneTables {
             for (k, word) in input_words.iter_mut().enumerate() {
                 *word = broadcast((combo >> (r + k)) & 1 == 1);
             }
-            sim.set_state_broadcast(&state_bits);
-            sim.evaluate(&input_words);
+            sim.set_state_broadcast_bits(&state_bits);
+            sim.eval_all(&input_words);
             for (bit, &net) in plan.observation_points().iter().enumerate() {
-                let w = sim.net_word(net as usize);
+                let [w] = sim.values[net as usize];
                 for (lane, sig) in obs_sig.iter_mut().skip(combo).step_by(combos).enumerate() {
                     *sig |= (((w >> lane) & 1) as u32) << bit;
                 }
             }
             for (bit, &d) in plan.flip_flop_inputs().iter().enumerate() {
-                let w = sim.net_word(d as usize);
+                let [w] = sim.values[d as usize];
                 for (lane, ns) in next_state
                     .iter_mut()
                     .skip(combo)
@@ -1403,8 +1137,6 @@ struct PackedSegments<'a> {
     reference_state: Vec<bool>,
     alive: Vec<AliveFault>,
     table: Option<TableTail>,
-    /// Span timing enabled; counters are collected regardless.
-    timing: bool,
     /// Telemetry of the segment in flight, drained by
     /// [`SegmentRunner::telemetry_snapshot`].
     metrics: CampaignMetrics,
@@ -1419,7 +1151,6 @@ impl<'a> PackedSegments<'a> {
         faults: &[Injection],
         mut stimulus: Stimulus,
         stimulation: StateStimulation,
-        timing: bool,
     ) -> Self {
         let num_state = netlist.flip_flops().len();
         // Scan initialisation: every machine starts from the first random
@@ -1436,7 +1167,6 @@ impl<'a> PackedSegments<'a> {
             reference_state: init_state.clone(),
             alive: initial_alive(faults, &init_state),
             table: None,
-            timing,
             metrics: CampaignMetrics::default(),
             counted_generated: 0,
         }
@@ -1490,7 +1220,7 @@ impl SegmentRunner for PackedSegments<'_> {
                 self.st_words = Vec::new();
             }
         }
-        let stim_timer = PhaseTimer::start(self.timing);
+        let stim_timer = PhaseTimer::start();
         self.stimulus.ensure(to);
         self.metrics.stimulus_patterns +=
             (self.stimulus.generated_cycles() - self.counted_generated) as u64;
@@ -1498,14 +1228,14 @@ impl SegmentRunner for PackedSegments<'_> {
         self.metrics.stimulus_ns += stim_timer.elapsed_ns();
         self.metrics.cycles_simulated += (to - from) as u64;
         if let Some(table) = &mut self.table {
-            let eval_timer = PhaseTimer::start(self.timing);
+            let eval_timer = PhaseTimer::start();
             table.run(&self.stimulus, self.stimulation, from, to, detections);
             self.metrics.fault_eval_ns += eval_timer.elapsed_ns();
             return;
         }
         // Extend the broadcast words over this segment's rows: every
         // machine sees the same inputs, so each bit is one broadcast word.
-        let stim_timer = PhaseTimer::start(self.timing);
+        let stim_timer = PhaseTimer::start();
         for cycle in self.packed_cycles..to {
             self.pi_words
                 .extend(self.stimulus.pi(cycle).iter().map(|&b| broadcast(b)));
@@ -1515,7 +1245,7 @@ impl SegmentRunner for PackedSegments<'_> {
         self.packed_cycles = self.packed_cycles.max(to);
         self.metrics.stimulus_ns += stim_timer.elapsed_ns();
 
-        let eval_timer = PhaseTimer::start(self.timing);
+        let eval_timer = PhaseTimer::start();
         let num_inputs = self.netlist.primary_inputs().len();
         let num_state = self.netlist.flip_flops().len();
         let mut survivors: Vec<AliveFault> = Vec::new();
@@ -1525,7 +1255,7 @@ impl SegmentRunner for PackedSegments<'_> {
             // Survivors are compacted into fresh, dense chunks per
             // segment: every compile here is one compaction rebuild.
             self.metrics.compaction_rebuilds += 1;
-            let mut sim = PackedSimulator::with_injections(self.netlist, &faults);
+            let mut sim = PackedCore::<1>::compile(self.netlist, &faults);
             // Seed the lanes: lane 0 resumes the fault-free reference, lane
             // `i + 1` resumes faulty machine `chunk[i]`.
             let mut state_words = vec![0u64; num_state];
@@ -1541,7 +1271,7 @@ impl SegmentRunner for PackedSegments<'_> {
             for (i, a) in chunk.iter().enumerate() {
                 sim.seed_injection_memory(i + 1, &a.memory);
             }
-            let mut active = sim.fault_lanes_mask();
+            let [mut active] = sim.fault_lanes();
             for cycle in from..to {
                 if active == 0 {
                     break; // every fault of the chunk has been detected
@@ -1552,7 +1282,9 @@ impl SegmentRunner for PackedSegments<'_> {
                     sim.set_state_words(&self.st_words[row..row + num_state]);
                 }
                 let row = cycle * num_inputs;
-                let mut detected = sim.step_detect(&self.pi_words[row..row + num_inputs]) & active;
+                sim.eval_all(&self.pi_words[row..row + num_inputs]);
+                let mut detected = sim.mismatch_word() & active;
+                sim.clock();
                 active &= !detected;
                 while detected != 0 {
                     let lane = detected.trailing_zeros() as usize;
@@ -1685,9 +1417,11 @@ impl Stimulus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
     use stfsm_bist::netlist::build_netlist;
     use stfsm_encode::StateEncoding;
+    use stfsm_faults::{FaultList, StuckAt};
     use stfsm_fsm::suite::{fig3_example, modulo12_exact};
     use stfsm_fsm::Fsm;
     use stfsm_lfsr::{primitive_polynomial, Misr};
@@ -1716,17 +1450,27 @@ mod tests {
         }
     }
 
+    /// The collapsed stuck-at campaign over `netlist` under `config`.
+    fn stuck_at(netlist: &Netlist, config: CampaignConfig) -> CoverageResult {
+        Campaign::new(netlist)
+            .config(config)
+            .model(&StuckAt)
+            .run()
+            .coverage(0)
+    }
+
+    fn patterns(max_patterns: usize) -> CampaignConfig {
+        CampaignConfig {
+            max_patterns,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn dff_self_test_reaches_high_coverage() {
         let fsm = fig3_example().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Dff);
-        let result = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 512,
-                ..Default::default()
-            },
-        );
+        let result = stuck_at(&netlist, patterns(512));
         assert_eq!(result.stimulation, StateStimulation::RandomState);
         assert!(
             result.fault_coverage() > 0.9,
@@ -1742,13 +1486,7 @@ mod tests {
     fn pst_self_test_reaches_high_coverage() {
         let fsm = fig3_example().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Pst);
-        let result = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 512,
-                ..Default::default()
-            },
-        );
+        let result = stuck_at(&netlist, patterns(512));
         assert_eq!(result.stimulation, StateStimulation::SystemState);
         assert!(
             result.fault_coverage() > 0.85,
@@ -1761,13 +1499,7 @@ mod tests {
     fn coverage_curve_is_monotone() {
         let fsm = modulo12_exact().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Dff);
-        let result = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 256,
-                ..Default::default()
-            },
-        );
+        let result = stuck_at(&netlist, patterns(256));
         let mut last = 0.0;
         for &(_, c) in &result.coverage_curve {
             assert!(c >= last - 1e-12);
@@ -1780,13 +1512,7 @@ mod tests {
     fn test_length_for_coverage_is_consistent() {
         let fsm = fig3_example().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Dff);
-        let result = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 512,
-                ..Default::default()
-            },
-        );
+        let result = stuck_at(&netlist, patterns(512));
         let half = result
             .test_length_for_coverage(0.5)
             .expect("should reach 50% quickly");
@@ -1805,14 +1531,18 @@ mod tests {
     fn weighted_patterns_and_sampling_are_supported() {
         let fsm = fig3_example().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Dff);
-        let config = SelfTestConfig {
-            max_patterns: 128,
-            input_weights: Some(vec![0.7]),
-            fault_sample: 2,
-            collapse_faults: false,
-            ..Default::default()
-        };
-        let result = run_self_test(&netlist, &config);
+        let faults: Vec<Injection> = FaultList::full(&netlist)
+            .sampled(2)
+            .faults()
+            .iter()
+            .map(|&f| f.into())
+            .collect();
+        let result = Campaign::new(&netlist)
+            .patterns(128)
+            .input_weights(vec![0.7])
+            .faults("stuck_at", faults)
+            .run()
+            .coverage(0);
         assert!(result.total_faults > 0);
         assert!(result.fault_coverage() > 0.0);
     }
@@ -1821,12 +1551,8 @@ mod tests {
     fn reproducible_with_same_seed() {
         let fsm = fig3_example().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Pst);
-        let cfg = SelfTestConfig {
-            max_patterns: 128,
-            ..Default::default()
-        };
-        let a = run_self_test(&netlist, &cfg);
-        let b = run_self_test(&netlist, &cfg);
+        let a = stuck_at(&netlist, patterns(128));
+        let b = stuck_at(&netlist, patterns(128));
         assert_eq!(a, b);
     }
 
@@ -1834,12 +1560,11 @@ mod tests {
     fn stimulation_override_is_honoured() {
         let fsm = fig3_example().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Pst);
-        let cfg = SelfTestConfig {
-            max_patterns: 128,
+        let config = CampaignConfig {
             stimulation: Some(StateStimulation::RandomState),
-            ..Default::default()
+            ..patterns(128)
         };
-        let result = run_self_test(&netlist, &cfg);
+        let result = stuck_at(&netlist, config);
         assert_eq!(result.stimulation, StateStimulation::RandomState);
     }
 
@@ -1848,22 +1573,18 @@ mod tests {
         for structure in [BistStructure::Dff, BistStructure::Sig, BistStructure::Pst] {
             for fsm in [fig3_example().unwrap(), modulo12_exact().unwrap()] {
                 let netlist = netlist_for(&fsm, structure);
-                let base = SelfTestConfig {
-                    max_patterns: 512,
-                    ..Default::default()
-                };
-                let scalar = run_self_test(
+                let scalar = stuck_at(
                     &netlist,
-                    &SelfTestConfig {
+                    CampaignConfig {
                         engine: SimEngine::Scalar,
-                        ..base.clone()
+                        ..patterns(512)
                     },
                 );
-                let packed = run_self_test(
+                let packed = stuck_at(
                     &netlist,
-                    &SelfTestConfig {
+                    CampaignConfig {
                         engine: SimEngine::Packed,
-                        ..base
+                        ..patterns(512)
                     },
                 );
                 assert_eq!(
@@ -1883,24 +1604,21 @@ mod tests {
         // 63-fault chunks.
         let fsm = modulo12_exact().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Dff);
-        let cfg = SelfTestConfig {
-            max_patterns: 256,
-            collapse_faults: false,
-            ..Default::default()
+        let uncollapsed = |engine| {
+            Campaign::new(&netlist)
+                .engine(engine)
+                .patterns(256)
+                .model_uncollapsed(&StuckAt)
+                .run()
+                .coverage(0)
         };
-        let scalar = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                engine: SimEngine::Scalar,
-                ..cfg.clone()
-            },
-        );
+        let scalar = uncollapsed(SimEngine::Scalar);
         assert!(
-            scalar.total_faults > crate::packed::FAULT_LANES,
+            scalar.total_faults > FAULT_LANES,
             "need more than one chunk, got {} faults",
             scalar.total_faults
         );
-        let packed = run_self_test(&netlist, &cfg);
+        let packed = uncollapsed(SimEngine::Auto);
         assert_eq!(scalar, packed);
     }
 
@@ -1908,21 +1626,19 @@ mod tests {
     fn degenerate_campaigns_are_total() {
         let fsm = fig3_example().unwrap();
         let netlist = netlist_for(&fsm, BistStructure::Dff);
-        for engine in [
-            SimEngine::Scalar,
-            SimEngine::Packed,
-            SimEngine::Differential,
-            SimEngine::Threaded,
+        for (engine, threads) in [
+            (SimEngine::Scalar, 1),
+            (SimEngine::Packed, 1),
+            (SimEngine::Differential, 1),
+            (SimEngine::Differential, 2),
         ] {
+            let config = |max_patterns| CampaignConfig {
+                engine,
+                threads,
+                ..patterns(max_patterns)
+            };
             // Zero patterns: nothing applied, nothing detected, no panic.
-            let zero_patterns = run_self_test(
-                &netlist,
-                &SelfTestConfig {
-                    max_patterns: 0,
-                    engine,
-                    ..Default::default()
-                },
-            );
+            let zero_patterns = stuck_at(&netlist, config(0));
             assert_eq!(zero_patterns.patterns_applied, 0, "{engine:?}");
             assert!(zero_patterns.total_faults > 0);
             assert_eq!(zero_patterns.detected_faults, 0);
@@ -1931,33 +1647,23 @@ mod tests {
             assert!(zero_patterns.test_length_for_coverage(0.9).is_none());
 
             // Empty fault list: a zero-coverage result, no panic.
-            let no_faults = run_injection_campaign(
-                &netlist,
-                &[],
-                &SelfTestConfig {
-                    max_patterns: 64,
-                    engine,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(no_faults.total_faults, 0, "{engine:?}");
-            assert!(no_faults.detection_pattern.is_empty());
-            assert_eq!(no_faults.fault_coverage(), 0.0);
-            assert_eq!(no_faults.undetected_faults(), 0);
-            assert!(no_faults.test_length_for_coverage(0.5).is_none());
-            assert!(no_faults.coverage_curve.iter().all(|&(_, c)| c == 0.0));
+            let no_faults = |max_patterns| {
+                Campaign::new(&netlist)
+                    .config(config(max_patterns))
+                    .faults("none", Vec::new())
+                    .run()
+                    .coverage(0)
+            };
+            let empty = no_faults(64);
+            assert_eq!(empty.total_faults, 0, "{engine:?}");
+            assert!(empty.detection_pattern.is_empty());
+            assert_eq!(empty.fault_coverage(), 0.0);
+            assert_eq!(empty.undetected_faults(), 0);
+            assert!(empty.test_length_for_coverage(0.5).is_none());
+            assert!(empty.coverage_curve.iter().all(|&(_, c)| c == 0.0));
 
             // Both at once.
-            let both = run_injection_campaign(
-                &netlist,
-                &[],
-                &SelfTestConfig {
-                    max_patterns: 0,
-                    engine,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(both.fault_coverage(), 0.0);
+            assert_eq!(no_faults(0).fault_coverage(), 0.0);
         }
     }
 
@@ -1975,48 +1681,6 @@ mod tests {
         // …and a documented graceful underflow beyond double precision.
         assert_eq!(misr_aliasing_probability(1100), 0.0);
         assert_eq!(misr_aliasing_probability(usize::MAX), 0.0);
-    }
-
-    #[test]
-    fn effective_threads_clamps_zero_and_defaults_to_parallelism() {
-        // An explicit zero is clamped to one worker.
-        let zero = SelfTestConfig {
-            threads: Some(0),
-            ..Default::default()
-        };
-        assert_eq!(zero.effective_threads(), 1);
-        // Explicit positive counts pass through.
-        let four = SelfTestConfig {
-            threads: Some(4),
-            ..Default::default()
-        };
-        assert_eq!(four.effective_threads(), 4);
-        // The default follows the host's available parallelism.
-        let default = SelfTestConfig::default();
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(default.effective_threads(), host);
-        // A zero-thread campaign still runs (and agrees with packed).
-        let fsm = fig3_example().unwrap();
-        let netlist = netlist_for(&fsm, BistStructure::Dff);
-        let threaded = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 128,
-                engine: SimEngine::Threaded,
-                threads: Some(0),
-                ..Default::default()
-            },
-        );
-        let packed = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 128,
-                ..Default::default()
-            },
-        );
-        assert_eq!(threaded, packed);
     }
 
     #[test]

@@ -66,8 +66,8 @@
 
 use crate::campaign::{CampaignObserver, CampaignOutcome};
 use crate::dictionary::{DictionaryEntry, FaultDictionary};
-use crate::faults::Injection;
 use std::sync::Arc;
+use stfsm_faults::Injection;
 
 /// One ranked diagnosis candidate: a fault whose dictionary signature
 /// matches the observed failing signature.

@@ -31,28 +31,29 @@
 //! signatures match the observed response.
 //!
 //! [`CampaignConfig::engine`] selects how the faulty machines are advanced:
-//! `Differential` and `Threaded` compact signatures on the event-driven
-//! cone-restricted differential block engine of [`crate::differential`]
-//! (`64 * W - 1` fault lanes per `W`-word block with `W` picked from the
-//! fault count by [`CampaignConfig::resolved_block_words`], only the
-//! perturbable steps evaluated; `Threaded` additionally fans the
-//! independent blocks out over workers sharing one good-trace recording),
-//! `Scalar` and `Packed` on the classic 64-lane packed simulator, and
-//! `Auto` resolves per machine size first.  All paths produce identical
+//! `Differential` compacts signatures on the event-driven cone-restricted
+//! differential block engine of [`crate::differential`] (`64 * W - 1`
+//! fault lanes per `W`-word block with `W` picked from the fault count by
+//! [`CampaignConfig::resolved_block_words`], only the perturbable steps
+//! evaluated, the independent blocks fanned out over
+//! [`CampaignConfig::threads`] workers sharing one good-trace recording),
+//! `Scalar` and `Packed` on the classic 64-lane packed word, and `Auto`
+//! resolves per machine size first.  All paths produce identical
 //! dictionaries, and all generate stimulus and checkpoint planes lazily —
 //! an early-stopped campaign only pays for the segments it applied.
 
 use crate::checkpoint::{EngineSnapshot, LaneRecord};
 use crate::coverage::{
-    generate_stimulus, segment_schedule, CampaignConfig, DiffTuning, PassPersistence, ResumePoint,
-    SegmentReport, SelfTestConfig, SimEngine, StateStimulation,
+    generate_stimulus, segment_schedule, CampaignConfig, PassPersistence, ResumePoint,
+    SegmentReport, SimEngine, StateStimulation,
 };
 use crate::differential::{DiffSimulator, GoodTraceCache, LaneBlock};
-use crate::faults::Injection;
-use crate::packed::{PackedSimulator, FAULT_LANES};
+use crate::engine::PackedCore;
+use crate::packed::FAULT_LANES;
 use crate::telemetry::{CampaignMetrics, PhaseTimer, SegmentTelemetry};
 use std::collections::HashMap;
 use stfsm_bist::netlist::Netlist;
+use stfsm_faults::Injection;
 use stfsm_lfsr::bitvec::broadcast;
 use stfsm_lfsr::{primitive_polynomial, Misr, PlaneSymbol};
 
@@ -213,34 +214,6 @@ impl FaultDictionary {
     }
 }
 
-/// Builds the fault dictionary of a netlist over an explicit fault list.
-///
-/// The stimulus, stimulation mode and scan initialisation replicate
-/// [`crate::coverage::run_injection_campaign`] with the same configuration,
-/// so `first_detect` is bit-for-bit the campaign's `detection_pattern`.
-///
-/// Legacy entry point, kept as a thin wrapper over the unified
-/// [`Campaign`](crate::campaign::Campaign) API (one section, one
-/// [`DictionaryObserver`](crate::campaign::DictionaryObserver)); new code
-/// should drive the campaign builder, which shares one simulation pass
-/// across all observers.
-pub fn build_fault_dictionary(
-    netlist: &Netlist,
-    faults: &[Injection],
-    config: &SelfTestConfig,
-) -> FaultDictionary {
-    let mut dictionaries = crate::campaign::DictionaryObserver::new();
-    crate::campaign::Campaign::new(netlist)
-        .config(config.campaign())
-        .faults("faults", faults.to_vec())
-        .observe(&mut dictionaries)
-        .run();
-    dictionaries
-        .into_dictionaries()
-        .pop()
-        .expect("a one-section campaign yields one dictionary")
-}
-
 /// The dictionary engine room: one un-dropped campaign over `faults`,
 /// first-detect indices and final + intermediate signatures per lane,
 /// streaming one [`SegmentReport`] per boundary of the campaign's
@@ -294,15 +267,9 @@ pub(crate) fn build_dictionary_streaming(
 
     let checkpoints = segment_checkpoints(stimulus.cycles);
     let boundaries = segment_schedule(stimulus.cycles);
-    let tuning = config.diff_tuning(faults.len());
-    let timing = config.telemetry;
     let (entries, reference_signature, reference_segments, patterns_applied) =
         match config.engine.resolve(netlist) {
-            engine @ (SimEngine::Differential | SimEngine::Threaded) => {
-                let threads = match engine {
-                    SimEngine::Threaded => config.effective_threads(),
-                    _ => 1,
-                };
+            SimEngine::Differential => {
                 macro_rules! diff_pass {
                     ($w:literal) => {
                         differential_signatures::<$w>(
@@ -313,16 +280,14 @@ pub(crate) fn build_dictionary_streaming(
                             &misr,
                             &checkpoints,
                             &boundaries,
-                            threads,
-                            tuning,
-                            timing,
+                            config.threads,
                             good_cache,
                             persist,
                             on_segment,
                         )
                     };
                 }
-                match tuning.words {
+                match config.resolved_block_words(faults.len()) {
                     1 => diff_pass!(1),
                     8 => diff_pass!(8),
                     _ => diff_pass!(4),
@@ -336,7 +301,6 @@ pub(crate) fn build_dictionary_streaming(
                 &misr,
                 &checkpoints,
                 &boundaries,
-                timing,
                 persist,
                 on_segment,
             ),
@@ -369,7 +333,7 @@ fn lane_signature<const W: usize>(planes: &[[u64; W]], lane: usize) -> u64 {
         .fold(0u64, |acc, (i, plane)| acc | (((plane[w] >> b) & 1) << i))
 }
 
-/// The classic dictionary pass on the 64-lane packed simulator, advanced
+/// The classic dictionary pass on 64-lane packed words, advanced
 /// segment-major: every chunk's simulator, MISR bit-planes and one-cycle
 /// memories persist across segment boundaries, so the signatures are
 /// bit-for-bit those of an unsegmented pass while the campaign can stop at
@@ -387,7 +351,6 @@ fn packed_signatures(
     misr: &Misr,
     checkpoints: &[usize],
     boundaries: &[usize],
-    timing: bool,
     persist: &PassPersistence<'_>,
     on_segment: &mut dyn FnMut(&SegmentReport<'_>) -> bool,
 ) -> SignaturePass {
@@ -401,13 +364,13 @@ fn packed_signatures(
     let mut pi_words: Vec<u64> = Vec::new();
     let mut st_words: Vec<u64> = Vec::new();
     let mut packed_cycles = 0usize;
-    let epoch = PhaseTimer::start(timing);
+    let epoch = PhaseTimer::start();
     let mut metrics = CampaignMetrics::default();
     let mut counted_generated = 0usize;
 
     /// The persistent state of one 64-lane chunk.
     struct ChunkState<'a> {
-        sim: PackedSimulator<'a>,
+        sim: PackedCore<'a, 1>,
         fault_mask: u64,
         detected: u64,
         first_detect: Vec<Option<usize>>,
@@ -469,9 +432,9 @@ fn packed_signatures(
     let mut chunks: Vec<ChunkState> = Vec::with_capacity(chunk_lists.len());
     let mut offset = 0usize;
     for &chunk in &chunk_lists {
-        let mut sim = PackedSimulator::with_injections(netlist, chunk);
-        sim.set_state_broadcast(&init_state);
-        let fault_mask = sim.fault_lanes_mask();
+        let mut sim = PackedCore::<1>::compile(netlist, chunk);
+        sim.set_state_broadcast_bits(&init_state);
+        let [fault_mask] = sim.fault_lanes();
         chunks.push(ChunkState {
             sim,
             fault_mask,
@@ -546,7 +509,7 @@ fn packed_signatures(
             continue;
         }
         let start_ns = epoch.elapsed_ns();
-        let stim_timer = PhaseTimer::start(timing);
+        let stim_timer = PhaseTimer::start();
         stimulus.ensure(to);
         for cycle in packed_cycles..to {
             pi_words.extend(stimulus.pi(cycle).iter().map(|&b| broadcast(b)));
@@ -558,7 +521,7 @@ fn packed_signatures(
         metrics.stimulus_ns += stim_timer.elapsed_ns();
         metrics.cycles_simulated += (to - from) as u64;
         detections.clear();
-        let eval_timer = PhaseTimer::start(timing);
+        let eval_timer = PhaseTimer::start();
         for cs in chunks.iter_mut() {
             for cycle in from..to {
                 if stimulation == StateStimulation::RandomState {
@@ -566,7 +529,7 @@ fn packed_signatures(
                     cs.sim.set_state_words(&st_words[row..row + num_state]);
                 }
                 let row = cycle * num_inputs;
-                cs.sim.evaluate(&pi_words[row..row + num_inputs]);
+                cs.sim.eval_all(&pi_words[row..row + num_inputs]);
                 let mut newly = cs.sim.mismatch_word() & cs.fault_mask & !cs.detected;
                 cs.detected |= newly;
                 while newly != 0 {
@@ -582,7 +545,7 @@ fn packed_signatures(
                     *f = [0];
                 }
                 for (bit, &net) in obs.iter().enumerate() {
-                    cs.folded[bit % signature_bits][0] ^= cs.sim.net_word(net as usize);
+                    cs.folded[bit % signature_bits][0] ^= cs.sim.values[net as usize][0];
                 }
                 misr.step_planes(&mut cs.planes, &cs.folded);
                 for &checkpoint in checkpoints {
@@ -674,10 +637,9 @@ fn plane_word(planes: &[bool]) -> u64 {
 /// while the campaign can stop at any boundary; stimulus rows and
 /// checkpoint planes grow per live segment only.
 ///
-/// `threads > 1` (the [`SimEngine::Threaded`] dictionary pass) fans the
-/// independent signature blocks out over `std::thread::scope` workers;
-/// the merge is in block order, so the dictionary is identical for any
-/// worker count.
+/// `threads > 1` fans the independent signature blocks out over
+/// `std::thread::scope` workers; the merge is in block order, so the
+/// dictionary is identical for any worker count.
 #[allow(clippy::too_many_arguments)]
 fn differential_signatures<const W: usize>(
     netlist: &Netlist,
@@ -688,8 +650,6 @@ fn differential_signatures<const W: usize>(
     checkpoints: &[usize],
     boundaries: &[usize],
     threads: usize,
-    tuning: DiffTuning,
-    timing: bool,
     good_cache: &mut GoodTraceCache,
     persist: &PassPersistence<'_>,
     on_segment: &mut dyn FnMut(&SegmentReport<'_>) -> bool,
@@ -704,7 +664,7 @@ fn differential_signatures<const W: usize>(
     // segment: an early-stopped pass never allocates the full budget.
     let mut pi_words: Vec<u64> = Vec::new();
     let mut packed_cycles = 0usize;
-    let epoch = PhaseTimer::start(timing);
+    let epoch = PhaseTimer::start();
     let mut metrics = CampaignMetrics::default();
     let mut counted_generated = 0usize;
 
@@ -758,12 +718,7 @@ fn differential_signatures<const W: usize>(
     let mut blocks: Vec<BlockState<W>> = Vec::with_capacity(chunk_lists.len());
     let mut offset = 0usize;
     for &chunk in &chunk_lists {
-        let mut sim = DiffSimulator::<W>::with_injections_tuned(
-            netlist,
-            chunk,
-            tuning.events,
-            tuning.per_word,
-        );
+        let mut sim = DiffSimulator::<W>::with_injections(netlist, chunk);
         sim.set_state_broadcast_bits(&init_state);
         let fault_mask = sim.active();
         blocks.push(BlockState {
@@ -857,7 +812,7 @@ fn differential_signatures<const W: usize>(
             continue;
         }
         let start_ns = epoch.elapsed_ns();
-        let stim_timer = PhaseTimer::start(timing);
+        let stim_timer = PhaseTimer::start();
         stimulus.ensure(to);
         for cycle in packed_cycles..to {
             pi_words.extend(stimulus.pi(cycle).iter().map(|&b| broadcast(b)));
@@ -869,7 +824,7 @@ fn differential_signatures<const W: usize>(
         metrics.cycles_simulated += (to - from) as u64;
         // One good-machine recording per segment, shared by every block,
         // every worker and (through the cache) every pass of the campaign.
-        let good_timer = PhaseTimer::start(timing);
+        let good_timer = PhaseTimer::start();
         let (trace, hit) =
             good_cache.get_or_record(netlist, stimulus, stimulation, &good_state, from, to);
         metrics.cache_lookups += 1;
@@ -909,7 +864,7 @@ fn differential_signatures<const W: usize>(
         // is bit-for-bit identical for any worker count (the same
         // discipline as the detection driver).
         detections.clear();
-        let eval_timer = PhaseTimer::start(timing);
+        let eval_timer = PhaseTimer::start();
         let (block_results, panics_recovered) =
             crate::differential::sharded_map_mut(&mut blocks, threads, |bs| {
                 let span_start = eval_timer.elapsed_ns();
@@ -967,11 +922,7 @@ fn differential_signatures<const W: usize>(
             metrics.absorb(&block_metrics);
             spans.push(span);
         }
-        let workers = if timing {
-            crate::differential::fold_worker_spans(&spans, threads)
-        } else {
-            Vec::new()
-        };
+        let workers = crate::differential::fold_worker_spans(&spans, threads);
         detections.sort_unstable_by_key(|&(index, cycle)| (cycle, index));
         metrics.lane_retirements += detections.len() as u64;
         good_state = trace.end_state().to_vec();
@@ -1038,13 +989,14 @@ fn differential_signatures<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::run_injection_campaign;
+    use crate::campaign::{Campaign, DictionaryObserver};
+    use crate::coverage::CoverageResult;
     use crate::differential::BLOCK_FAULT_LANES;
     use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
     use stfsm_bist::netlist::build_netlist;
     use stfsm_bist::BistStructure;
     use stfsm_encode::StateEncoding;
-    use stfsm_faults::{all_models, FaultModel};
+    use stfsm_faults::{all_models, FaultModel, StuckAt};
     use stfsm_fsm::suite::{fig3_example, modulo12_exact};
     use stfsm_lfsr::{Gf2Vec, Misr};
     use stfsm_logic::espresso::minimize;
@@ -1070,17 +1022,46 @@ mod tests {
         build_netlist("dict-dff", &cover, &lay, BistStructure::Dff, None).unwrap()
     }
 
+    /// A one-section campaign's dictionary over `faults`.
+    fn dictionary(
+        netlist: &Netlist,
+        faults: &[Injection],
+        config: &CampaignConfig,
+    ) -> FaultDictionary {
+        let mut dictionaries = DictionaryObserver::new();
+        Campaign::new(netlist)
+            .config(config.clone())
+            .faults("faults", faults.to_vec())
+            .observe(&mut dictionaries)
+            .run();
+        dictionaries.into_dictionaries().remove(0)
+    }
+
+    /// A one-section campaign's coverage over `faults` (the drop-on-detect
+    /// pass: no observer asks for signatures).
+    fn coverage(
+        netlist: &Netlist,
+        faults: &[Injection],
+        config: &CampaignConfig,
+    ) -> CoverageResult {
+        Campaign::new(netlist)
+            .config(config.clone())
+            .faults("faults", faults.to_vec())
+            .run()
+            .coverage(0)
+    }
+
     #[test]
     fn first_detect_matches_the_campaign_for_every_model() {
-        let config = SelfTestConfig {
+        let config = CampaignConfig {
             max_patterns: 256,
             ..Default::default()
         };
         for netlist in [pst_netlist(), dff_netlist()] {
             for model in all_models() {
                 let faults = model.fault_list(&netlist, true);
-                let campaign = run_injection_campaign(&netlist, &faults, &config);
-                let dictionary = build_fault_dictionary(&netlist, &faults, &config);
+                let campaign = coverage(&netlist, &faults, &config);
+                let dictionary = dictionary(&netlist, &faults, &config);
                 let first: Vec<Option<usize>> =
                     dictionary.entries.iter().map(|e| e.first_detect).collect();
                 assert_eq!(
@@ -1099,12 +1080,12 @@ mod tests {
     #[test]
     fn signatures_separate_most_detected_faults() {
         let netlist = pst_netlist();
-        let faults = crate::faults::StuckAt.fault_list(&netlist, true);
-        let config = SelfTestConfig {
+        let faults = StuckAt.fault_list(&netlist, true);
+        let config = CampaignConfig {
             max_patterns: 512,
             ..Default::default()
         };
-        let dictionary = build_fault_dictionary(&netlist, &faults, &config);
+        let dictionary = dictionary(&netlist, &faults, &config);
         // Detected faults should overwhelmingly produce non-reference
         // signatures; the aliasing probability of the compactor is 2^-bits.
         let detected = dictionary.detected_count();
@@ -1132,11 +1113,11 @@ mod tests {
     #[test]
     fn candidates_index_matches_a_linear_scan() {
         let netlist = pst_netlist();
-        let faults = crate::faults::StuckAt.fault_list(&netlist, true);
-        let dictionary = build_fault_dictionary(
+        let faults = StuckAt.fault_list(&netlist, true);
+        let dictionary = dictionary(
             &netlist,
             &faults,
-            &SelfTestConfig {
+            &CampaignConfig {
                 max_patterns: 256,
                 ..Default::default()
             },
@@ -1181,39 +1162,39 @@ mod tests {
         // intermediate signature — the same invariant the fixed-3 design
         // had, now at the adaptive positions.
         let netlist = pst_netlist();
-        let faults: Vec<Injection> = crate::faults::StuckAt
+        let faults: Vec<Injection> = StuckAt
             .fault_list(&netlist, true)
             .into_iter()
             .step_by(4)
             .collect();
-        let base = SelfTestConfig {
+        let base = CampaignConfig {
             max_patterns: 1024,
             ..Default::default()
         };
-        let packed = build_fault_dictionary(
+        let packed = dictionary(
             &netlist,
             &faults,
-            &SelfTestConfig {
+            &CampaignConfig {
                 engine: SimEngine::Packed,
                 ..base.clone()
             },
         );
         assert_eq!(packed.segment_checkpoints.len(), 4);
         assert_eq!(packed.segment_checkpoints, vec![205, 410, 615, 820]);
-        let differential = build_fault_dictionary(
+        let differential = dictionary(
             &netlist,
             &faults,
-            &SelfTestConfig {
+            &CampaignConfig {
                 engine: SimEngine::Differential,
                 ..base.clone()
             },
         );
         assert_eq!(packed, differential);
         for (k, &checkpoint) in packed.segment_checkpoints.iter().enumerate() {
-            let truncated = build_fault_dictionary(
+            let truncated = dictionary(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
+                &CampaignConfig {
                     max_patterns: checkpoint,
                     ..base.clone()
                 },
@@ -1237,18 +1218,18 @@ mod tests {
         // A campaign truncated at a checkpoint must reproduce exactly the
         // segment signature the full campaign recorded there.
         let netlist = pst_netlist();
-        let faults = crate::faults::StuckAt.fault_list(&netlist, true);
-        let full_config = SelfTestConfig {
+        let faults = StuckAt.fault_list(&netlist, true);
+        let full_config = CampaignConfig {
             max_patterns: 512,
             ..Default::default()
         };
-        let full = build_fault_dictionary(&netlist, &faults, &full_config);
+        let full = dictionary(&netlist, &faults, &full_config);
         assert_eq!(full.segment_checkpoints, [128, 256, 384]);
         for (k, &checkpoint) in full.segment_checkpoints.iter().enumerate() {
-            let truncated = build_fault_dictionary(
+            let truncated = dictionary(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
+                &CampaignConfig {
                     max_patterns: checkpoint,
                     ..Default::default()
                 },
@@ -1272,17 +1253,17 @@ mod tests {
         // The bit-plane recurrence must equal stfsm-lfsr's Misr stepping on
         // the fault-free machine's observation stream.
         let netlist = dff_netlist();
-        let config = SelfTestConfig {
+        let config = CampaignConfig {
             max_patterns: 64,
             ..Default::default()
         };
-        let faults = crate::faults::StuckAt.fault_list(&netlist, true);
-        let dictionary = build_fault_dictionary(&netlist, &faults, &config);
+        let faults = StuckAt.fault_list(&netlist, true);
+        let dictionary = dictionary(&netlist, &faults, &config);
         let w = dictionary.signature_bits;
         let misr = Misr::new(primitive_polynomial(w).unwrap()).unwrap();
 
         // Re-simulate the fault-free machine through the scalar engine.
-        let mut stimulus = generate_stimulus(&netlist, &config.campaign());
+        let mut stimulus = generate_stimulus(&netlist, &config);
         stimulus.ensure(stimulus.cycles);
         let mut sim = crate::sim::Simulator::new(&netlist);
         sim.set_state(&stimulus.st(0)[..netlist.flip_flops().len()]);
@@ -1309,11 +1290,11 @@ mod tests {
     /// reference — for every fault model and both stimulation styles.
     #[test]
     fn differential_dictionary_matches_packed() {
-        let packed_config = SelfTestConfig {
+        let packed_config = CampaignConfig {
             max_patterns: 256,
             ..Default::default()
         };
-        let differential_config = SelfTestConfig {
+        let differential_config = CampaignConfig {
             max_patterns: 256,
             engine: SimEngine::Differential,
             ..Default::default()
@@ -1321,8 +1302,8 @@ mod tests {
         for netlist in [pst_netlist(), dff_netlist()] {
             for model in all_models() {
                 let faults = model.fault_list(&netlist, true);
-                let packed = build_fault_dictionary(&netlist, &faults, &packed_config);
-                let differential = build_fault_dictionary(&netlist, &faults, &differential_config);
+                let packed = dictionary(&netlist, &faults, &packed_config);
+                let differential = dictionary(&netlist, &faults, &differential_config);
                 assert_eq!(
                     packed,
                     differential,
@@ -1332,16 +1313,16 @@ mod tests {
                 );
             }
             // The empty-fault-list reference contract holds on both paths.
-            let packed = build_fault_dictionary(&netlist, &[], &packed_config);
-            let differential = build_fault_dictionary(&netlist, &[], &differential_config);
+            let packed = dictionary(&netlist, &[], &packed_config);
+            let differential = dictionary(&netlist, &[], &differential_config);
             assert_eq!(packed, differential);
         }
     }
 
-    /// The threaded dictionary pass (blocks sharded over workers, one
-    /// shared good trace) must be bit-for-bit identical to the
-    /// single-threaded differential pass for any worker count, on a fault
-    /// universe spanning several blocks.
+    /// The differential dictionary pass with its blocks sharded over
+    /// workers (one shared good trace) must be bit-for-bit identical to the
+    /// single-worker pass for any worker count, on a fault universe
+    /// spanning several blocks.
     #[test]
     fn threaded_dictionary_is_worker_count_invariant() {
         let netlist = pst_netlist();
@@ -1350,19 +1331,18 @@ mod tests {
             .flat_map(|m| m.fault_list(&netlist, false))
             .collect();
         assert!(faults.len() > BLOCK_FAULT_LANES, "need several blocks");
-        let base = SelfTestConfig {
+        let base = CampaignConfig {
             max_patterns: 128,
             engine: SimEngine::Differential,
             ..Default::default()
         };
-        let single = build_fault_dictionary(&netlist, &faults, &base);
+        let single = dictionary(&netlist, &faults, &base);
         for threads in [2usize, 3, 64] {
-            let sharded = build_fault_dictionary(
+            let sharded = dictionary(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
-                    engine: SimEngine::Threaded,
-                    threads: Some(threads),
+                &CampaignConfig {
+                    threads,
                     ..base.clone()
                 },
             );
@@ -1373,18 +1353,18 @@ mod tests {
     #[test]
     fn degenerate_dictionaries_are_total() {
         let netlist = dff_netlist();
-        let faults = crate::faults::StuckAt.fault_list(&netlist, true);
+        let faults = StuckAt.fault_list(&netlist, true);
         // An empty fault list still reports the true fault-free signature.
-        let empty = build_fault_dictionary(&netlist, &[], &SelfTestConfig::default());
-        let full = build_fault_dictionary(&netlist, &faults, &SelfTestConfig::default());
+        let empty = dictionary(&netlist, &[], &CampaignConfig::default());
+        let full = dictionary(&netlist, &faults, &CampaignConfig::default());
         assert!(empty.entries.is_empty());
         assert_eq!(empty.reference_signature, full.reference_signature);
         assert_eq!(empty.reference_segments, full.reference_segments);
         assert_ne!(empty.reference_signature, 0);
-        let no_patterns = build_fault_dictionary(
+        let no_patterns = dictionary(
             &netlist,
             &faults,
-            &SelfTestConfig {
+            &CampaignConfig {
                 max_patterns: 0,
                 ..Default::default()
             },

@@ -1,8 +1,8 @@
 //! Event-driven, cone-restricted differential fault simulation over
 //! multi-word lane blocks.
 //!
-//! The 64-way packed engine of [`crate::packed`] still pays for work that
-//! provably cannot matter: it re-simulates the fault-free machine in lane 0
+//! The 64-way packed full sweep still pays for work that provably cannot
+//! matter: it re-simulates the fault-free machine in lane 0
 //! of every chunk, and every lane evaluates the *entire* evaluation plan
 //! even though an injected fault can only perturb the nets in its fanout
 //! cone until its effect reaches a flip-flop.  The differential engine
@@ -48,28 +48,26 @@
 //!
 //! The word-parallel compile/eval machinery itself — opcodes, patched
 //! gates, the injection algebra, change-detecting step evaluation — is
-//! *not* duplicated here: it is the shared `engine::PackedCore<W>` that
-//! also powers [`crate::packed`] (the `W = 1` instance).  This module adds
-//! only the event scheduling, the cone-restricted step sets and the
-//! differential campaign driver.
+//! *not* duplicated here: it is the shared `engine::PackedCore<W>` whose
+//! `W = 1` instance the packed engine sweeps.  This module adds only the
+//! event scheduling, the cone-restricted step sets and the differential
+//! campaign driver.
 //!
 //! The engine is model-agnostic over [`Injection`] — stuck outputs, stuck
 //! pins, delayed transitions (with the one-cycle memory carried per word)
 //! and bridges all keep working — and produces detection patterns
 //! bit-for-bit identical to the scalar and packed engines, for every
-//! combination of the scheduling knobs, block width, thread count and
-//! early-stop boundary.
+//! block width, thread count and early-stop boundary.
 
 use crate::coverage::{
-    initial_alive, AliveFault, DiffTuning, LaneTables, SegmentRunner, StateStimulation, Stimulus,
-    TableTail,
+    initial_alive, AliveFault, LaneTables, SegmentRunner, StateStimulation, Stimulus, TableTail,
 };
 use crate::engine::{Op, PackedCore};
-use crate::faults::Injection;
 use crate::packed::FAULT_LANES as PACKED_FAULT_LANES;
 use crate::sim::Simulator;
 use crate::telemetry::{CampaignMetrics, PhaseTimer, WorkerSpan};
 use stfsm_bist::netlist::{EvalPlan, Netlist};
+use stfsm_faults::Injection;
 use stfsm_lfsr::bitvec::broadcast;
 
 /// A block of `W` 64-lane packing words: `64 * W` simulated machines that
@@ -108,8 +106,7 @@ fn row_bit(row: &[u64], net: usize) -> bool {
 
 /// The good machine's trajectory over one campaign segment, recorded once
 /// on the scalar simulator and shared (read-only) by every lane block and
-/// every worker of the [`threaded`](crate::coverage::SimEngine::Threaded)
-/// engine.
+/// every worker of the differential engine.
 pub(crate) struct GoodTrace {
     stride: usize,
     num_state: usize,
@@ -297,12 +294,6 @@ pub(crate) struct DiffSimulator<'a, const W: usize> {
     wide: StepSet,
     /// Active-fault count the narrow cone union was last built for.
     narrow_basis: usize,
-    /// Event-driven worklist scheduling; `false` falls back to the v1
-    /// full-cone sweep (every member step, every cycle).
-    events: bool,
-    /// Per-word divergence widening; `false` reproduces the v1 per-block
-    /// decision (one diverged lane drags all `W` words wide).
-    per_word: bool,
     /// Per-word divergence masks of the last [`DiffSimulator::needs_wide`]
     /// check: all-ones on words with at least one diverged lane.
     div: [u64; W],
@@ -324,40 +315,15 @@ pub(crate) struct DiffSimulator<'a, const W: usize> {
 }
 
 impl<'a, const W: usize> DiffSimulator<'a, W> {
-    /// Compiles a block with `injections[i]` on lane `i + 1`, with
-    /// event-driven scheduling and per-word widening enabled.
+    /// Compiles a block with `injections[i]` on lane `i + 1`.
     ///
     /// # Panics
     ///
     /// Panics if more than [`LaneBlock::FAULT_LANES`] injections are given
     /// or a bridge aggressor does not precede its victim.
-    #[cfg(test)]
     pub(crate) fn with_injections(netlist: &'a Netlist, injections: &[Injection]) -> Self {
-        Self::with_injections_tuned(netlist, injections, true, true)
-    }
-
-    /// Compiles a block with `injections[i]` on lane `i + 1`, with explicit
-    /// scheduling knobs: `events` selects the worklist scheduler vs the v1
-    /// full-cone sweep, `per_word` the per-word vs per-block widening
-    /// decision.  Every combination is bit-for-bit identical; the knobs
-    /// exist for the tests that check each mechanism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`LaneBlock::FAULT_LANES`] injections are given
-    /// or a bridge aggressor does not precede its victim.
-    pub(crate) fn with_injections_tuned(
-        netlist: &'a Netlist,
-        injections: &[Injection],
-        events: bool,
-        per_word: bool,
-    ) -> Self {
         let core = PackedCore::compile(netlist, injections);
-        let mut active = [0u64; W];
-        for i in 0..injections.len() {
-            let lane = i + 1;
-            active[lane / 64] |= 1u64 << (lane % 64);
-        }
+        let active = core.fault_lanes();
         let empty = || StepSet {
             member: Vec::new(),
             steps: Vec::new(),
@@ -375,8 +341,6 @@ impl<'a, const W: usize> DiffSimulator<'a, W> {
             narrow: empty(),
             wide: empty(),
             narrow_basis: 0,
-            events,
-            per_word,
             div: [0u64; W],
             valid_div: [0u64; W],
             last_eval: LastEval::Stale,
@@ -619,9 +583,8 @@ impl<'a, const W: usize> DiffSimulator<'a, W> {
 
     /// The per-cycle divergence check: recomputes the per-word divergence
     /// masks (all-ones on every word with at least one lane whose register
-    /// state differs from the good machine, collapsed to all words when
-    /// per-word widening is disabled) and returns whether the block needs
-    /// the wide step set this cycle.
+    /// state differs from the good machine) and returns whether the block
+    /// needs the wide step set this cycle.
     pub(crate) fn needs_wide(&mut self, good_pre_state: &[bool]) -> bool {
         let mut div = [0u64; W];
         for (row, &bit) in self.core.state.iter().zip(good_pre_state) {
@@ -635,9 +598,6 @@ impl<'a, const W: usize> DiffSimulator<'a, W> {
             *d = if *d != 0 { u64::MAX } else { 0 };
             wide |= *d != 0;
         }
-        if wide && !self.per_word {
-            div = [u64::MAX; W];
-        }
         for (old, new) in self.div.iter().zip(&div) {
             match (*old != 0, *new != 0) {
                 (false, true) => self.metrics.widenings += 1,
@@ -649,22 +609,20 @@ impl<'a, const W: usize> DiffSimulator<'a, W> {
         wide
     }
 
-    /// Evaluates the selected step set for this cycle.
-    ///
-    /// With event scheduling enabled this drains the levelized worklist:
-    /// only steps whose inputs changed since the cycle they were last
-    /// evaluated are recomputed (frontier good-value diffs, state-register
-    /// loads and the always-dirty fault sites seed the events).  The full
-    /// member sweep remains as the fallback whenever stored values cannot
-    /// be trusted incrementally: after a set rebuild, on entry into the
-    /// wide set, or when a word newly diverges while wide.
+    /// Evaluates the selected step set for this cycle by draining the
+    /// levelized worklist: only steps whose inputs changed since the cycle
+    /// they were last evaluated are recomputed (frontier good-value diffs,
+    /// state-register loads and the always-dirty fault sites seed the
+    /// events).  The full member sweep remains as the fallback whenever
+    /// stored values cannot be trusted incrementally: after a set rebuild,
+    /// on entry into the wide set, or when a word newly diverges while
+    /// wide.
     pub(crate) fn eval_cycle(&mut self, wide: bool, good_row: &[u64], inputs: &[u64]) {
-        let full = !self.events
-            || match self.last_eval {
-                LastEval::Stale => true,
-                LastEval::Narrow => wide,
-                LastEval::Wide => wide && (0..W).any(|k| self.div[k] & !self.valid_div[k] != 0),
-            };
+        let full = match self.last_eval {
+            LastEval::Stale => true,
+            LastEval::Narrow => wide,
+            LastEval::Wide => wide && (0..W).any(|k| self.div[k] & !self.valid_div[k] != 0),
+        };
         if full {
             self.metrics.full_sweeps += 1;
             let set = if wide { &self.wide } else { &self.narrow };
@@ -904,19 +862,13 @@ fn run_block<const W: usize>(
     reference_state: &[bool],
     from: usize,
     to: usize,
-    tuning: DiffTuning,
     epoch: PhaseTimer,
 ) -> BlockResult {
     let span_start = epoch.elapsed_ns();
     let num_inputs = netlist.primary_inputs().len();
     let num_state = netlist.flip_flops().len();
     let injections: Vec<Injection> = chunk.iter().map(|a| a.fault.clone()).collect();
-    let mut sim = DiffSimulator::<W>::with_injections_tuned(
-        netlist,
-        &injections,
-        tuning.events,
-        tuning.per_word,
-    );
+    let mut sim = DiffSimulator::<W>::with_injections(netlist, &injections);
     sim.set_state_lanes(reference_state, chunk);
     for (i, alive_fault) in chunk.iter().enumerate() {
         sim.seed_injection_memory(i + 1, &alive_fault.memory);
@@ -1023,8 +975,8 @@ fn run_shard_item<R>(
 /// Maps independent work items through `f`, fanned out over up to
 /// `threads` scoped workers in contiguous groups.  Results are merged in
 /// item order, so the output is identical for any worker count — the one
-/// sharding discipline shared by the threaded detection driver and the
-/// threaded dictionary pass.
+/// sharding discipline shared by the differential detection driver and
+/// the differential dictionary pass.
 ///
 /// Worker panics are isolated per item: a panicking item is quarantined
 /// and deterministically re-run in-line on the campaign thread (the item
@@ -1176,18 +1128,15 @@ pub(crate) struct DiffSegments<'a> {
     pi_words: Vec<u64>,
     packed_cycles: usize,
     threads: usize,
-    /// Resolved engine tuning: worklist scheduling, per-word widening and
-    /// the lane-block word count (dispatched in [`DiffSegments::run_segment`]).
-    tuning: DiffTuning,
+    /// The lane-block word count (dispatched in
+    /// [`DiffSegments::run_segment`]).
+    words: usize,
     /// The campaign-wide good-trace cache, shared with any other
     /// differential pass of the same campaign.
     cache: &'a mut GoodTraceCache,
     reference_state: Vec<bool>,
     alive: Vec<AliveFault>,
     table: Option<TableTail>,
-    /// Span timing enabled ([`crate::coverage::CampaignConfig::telemetry`]);
-    /// counters are collected regardless.
-    timing: bool,
     /// Telemetry of the segment in flight, drained by
     /// [`SegmentRunner::telemetry_snapshot`].
     metrics: CampaignMetrics,
@@ -1205,9 +1154,8 @@ impl<'a> DiffSegments<'a> {
         mut stimulus: Stimulus,
         stimulation: StateStimulation,
         threads: usize,
-        tuning: DiffTuning,
+        words: usize,
         cache: &'a mut GoodTraceCache,
-        timing: bool,
     ) -> Self {
         let num_state = netlist.flip_flops().len();
         // Scan initialisation needs the first random state up front.
@@ -1220,12 +1168,11 @@ impl<'a> DiffSegments<'a> {
             pi_words: Vec::new(),
             packed_cycles: 0,
             threads,
-            tuning,
+            words,
             cache,
             reference_state: init_state.clone(),
             alive: initial_alive(faults, &init_state),
             table: None,
-            timing,
             metrics: CampaignMetrics::default(),
             workers: Vec::new(),
             counted_generated: 0,
@@ -1267,18 +1214,16 @@ impl<'a> DiffSegments<'a> {
             stimulation,
             pi_words,
             threads,
-            tuning,
             cache,
             reference_state,
             alive,
-            timing,
             metrics,
             workers,
             ..
         } = self;
         // One good-machine recording per segment, shared by every block,
         // every worker and (through the cache) every pass of the campaign.
-        let good_timer = PhaseTimer::start(*timing);
+        let good_timer = PhaseTimer::start();
         let (trace, cache_hit) =
             cache.get_or_record(netlist, stimulus, *stimulation, reference_state, from, to);
         metrics.good_trace_ns += good_timer.elapsed_ns();
@@ -1289,7 +1234,7 @@ impl<'a> DiffSegments<'a> {
             metrics.cache_misses += 1;
         }
         let chunks: Vec<&[AliveFault]> = alive.chunks(LaneBlock::<W>::FAULT_LANES).collect();
-        let epoch = PhaseTimer::start(*timing);
+        let epoch = PhaseTimer::start();
         let (block_results, panics_recovered): (Vec<BlockResult>, u64) =
             sharded_map(&chunks, *threads, |chunk| {
                 run_block::<W>(
@@ -1302,16 +1247,13 @@ impl<'a> DiffSegments<'a> {
                     reference_state,
                     from,
                     to,
-                    *tuning,
                     epoch,
                 )
             });
         metrics.fault_eval_ns += epoch.elapsed_ns();
         metrics.worker_panics_recovered += panics_recovered;
-        if *timing {
-            let spans: Vec<(u64, u64)> = block_results.iter().map(|b| b.span).collect();
-            workers.extend(fold_worker_spans(&spans, *threads));
-        }
+        let spans: Vec<(u64, u64)> = block_results.iter().map(|b| b.span).collect();
+        workers.extend(fold_worker_spans(&spans, *threads));
         let mut survivors: Vec<AliveFault> = Vec::new();
         for block in block_results {
             detections.extend(block.detections);
@@ -1352,7 +1294,7 @@ impl SegmentRunner for DiffSegments<'_> {
                 self.pi_words = Vec::new();
             }
         }
-        let stim_timer = PhaseTimer::start(self.timing);
+        let stim_timer = PhaseTimer::start();
         self.stimulus.ensure(to);
         self.metrics.stimulus_patterns +=
             (self.stimulus.generated_cycles() - self.counted_generated) as u64;
@@ -1360,7 +1302,7 @@ impl SegmentRunner for DiffSegments<'_> {
         self.metrics.stimulus_ns += stim_timer.elapsed_ns();
         self.metrics.cycles_simulated += (to - from) as u64;
         if let Some(table) = &mut self.table {
-            let eval_timer = PhaseTimer::start(self.timing);
+            let eval_timer = PhaseTimer::start();
             table.run(&self.stimulus, self.stimulation, from, to, detections);
             self.metrics.fault_eval_ns += eval_timer.elapsed_ns();
             return;
@@ -1372,7 +1314,7 @@ impl SegmentRunner for DiffSegments<'_> {
         }
         self.packed_cycles = self.packed_cycles.max(to);
 
-        match self.tuning.words {
+        match self.words {
             1 => self.run_blocks::<1>(from, to, detections),
             8 => self.run_blocks::<8>(from, to, detections),
             _ => self.run_blocks::<4>(from, to, detections),
@@ -1408,13 +1350,13 @@ impl SegmentRunner for DiffSegments<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::{run_injection_campaign, run_self_test, SelfTestConfig, SimEngine};
-    use crate::packed::PackedSimulator;
+    use crate::campaign::Campaign;
+    use crate::coverage::{CampaignConfig, CoverageResult, SimEngine};
     use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
     use stfsm_bist::netlist::build_netlist;
     use stfsm_bist::BistStructure;
     use stfsm_encode::StateEncoding;
-    use stfsm_faults::all_models;
+    use stfsm_faults::{all_models, FaultList, StuckAt};
     use stfsm_fsm::suite::{fig3_example, modulo12_exact};
     use stfsm_lfsr::{primitive_polynomial, Misr};
     use stfsm_logic::espresso::minimize;
@@ -1440,6 +1382,26 @@ mod tests {
         build_netlist("dff", &cover, &lay, BistStructure::Dff, None).unwrap()
     }
 
+    /// A one-section coverage campaign over `faults` on `engine`.
+    fn coverage(
+        netlist: &Netlist,
+        faults: &[Injection],
+        engine: SimEngine,
+        threads: usize,
+        max_patterns: usize,
+    ) -> CoverageResult {
+        Campaign::new(netlist)
+            .config(CampaignConfig {
+                max_patterns,
+                engine,
+                threads,
+                ..Default::default()
+            })
+            .faults("faults", faults.to_vec())
+            .run()
+            .coverage(0)
+    }
+
     #[test]
     fn lane_block_geometry() {
         assert_eq!(LaneBlock::<1>::LANES, 64);
@@ -1456,7 +1418,7 @@ mod tests {
     #[test]
     fn step_sets_are_consistent() {
         let netlist = pst_netlist();
-        let faults: Vec<Injection> = crate::faults::FaultList::collapsed(&netlist)
+        let faults: Vec<Injection> = FaultList::collapsed(&netlist)
             .faults()
             .iter()
             .map(|&f| f.into())
@@ -1500,43 +1462,21 @@ mod tests {
     #[test]
     fn differential_matches_packed_on_fixed_machines() {
         for netlist in [pst_netlist(), dff_netlist()] {
-            let base = SelfTestConfig {
-                max_patterns: 768,
-                ..Default::default()
+            let stuck_at = |engine| {
+                Campaign::new(&netlist)
+                    .model(&StuckAt)
+                    .engine(engine)
+                    .patterns(768)
+                    .run()
+                    .coverage(0)
             };
-            let packed = run_self_test(
-                &netlist,
-                &SelfTestConfig {
-                    engine: SimEngine::Packed,
-                    ..base.clone()
-                },
-            );
-            let differential = run_self_test(
-                &netlist,
-                &SelfTestConfig {
-                    engine: SimEngine::Differential,
-                    ..base.clone()
-                },
-            );
+            let packed = stuck_at(SimEngine::Packed);
+            let differential = stuck_at(SimEngine::Differential);
             assert_eq!(packed, differential, "stuck-at on {}", netlist.name());
             for model in all_models() {
                 let faults = model.fault_list(&netlist, true);
-                let packed = run_injection_campaign(
-                    &netlist,
-                    &faults,
-                    &SelfTestConfig {
-                        engine: SimEngine::Packed,
-                        ..base.clone()
-                    },
-                );
-                let differential = run_injection_campaign(
-                    &netlist,
-                    &faults,
-                    &SelfTestConfig {
-                        engine: SimEngine::Differential,
-                        ..base.clone()
-                    },
-                );
+                let packed = coverage(&netlist, &faults, SimEngine::Packed, 1, 768);
+                let differential = coverage(&netlist, &faults, SimEngine::Differential, 1, 768);
                 assert_eq!(
                     packed,
                     differential,
@@ -1562,26 +1502,8 @@ mod tests {
             "need more than one block, got {} faults",
             faults.len()
         );
-        let base = SelfTestConfig {
-            max_patterns: 256,
-            ..Default::default()
-        };
-        let packed = run_injection_campaign(
-            &netlist,
-            &faults,
-            &SelfTestConfig {
-                engine: SimEngine::Packed,
-                ..base.clone()
-            },
-        );
-        let differential = run_injection_campaign(
-            &netlist,
-            &faults,
-            &SelfTestConfig {
-                engine: SimEngine::Differential,
-                ..base
-            },
-        );
+        let packed = coverage(&netlist, &faults, SimEngine::Packed, 1, 256);
+        let differential = coverage(&netlist, &faults, SimEngine::Differential, 1, 256);
         assert_eq!(packed, differential);
     }
 
@@ -1595,28 +1517,9 @@ mod tests {
             .iter()
             .flat_map(|m| m.fault_list(&netlist, false))
             .collect();
-        let base = SelfTestConfig {
-            max_patterns: 192,
-            ..Default::default()
-        };
-        let single = run_injection_campaign(
-            &netlist,
-            &faults,
-            &SelfTestConfig {
-                engine: SimEngine::Differential,
-                ..base.clone()
-            },
-        );
+        let single = coverage(&netlist, &faults, SimEngine::Differential, 1, 192);
         for threads in [2usize, 3, 17, 64] {
-            let sharded = run_injection_campaign(
-                &netlist,
-                &faults,
-                &SelfTestConfig {
-                    engine: SimEngine::Threaded,
-                    threads: Some(threads),
-                    ..base.clone()
-                },
-            );
+            let sharded = coverage(&netlist, &faults, SimEngine::Differential, threads, 192);
             assert_eq!(single, sharded, "{threads} workers");
         }
     }
@@ -1747,11 +1650,11 @@ mod tests {
             .collect();
 
         for (c, chunk) in injections.chunks(FAULT_LANES).enumerate() {
-            let mut sim = PackedSimulator::with_injections(&netlist, chunk);
-            sim.set_state_broadcast(&init);
+            let mut sim = PackedCore::<1>::compile(&netlist, chunk);
+            sim.set_state_broadcast_bits(&init);
             check_lanes_against_scalar(&netlist, chunk, &init, c as u64, |_, _, words| {
-                sim.evaluate(words);
-                let values = (0..num_nets).map(|net| [sim.net_word(net)]).collect();
+                sim.eval_all(words);
+                let values = sim.values.clone();
                 sim.clock();
                 values
             });

@@ -1,8 +1,8 @@
 //! The single word-parallel simulation core shared by every packed engine.
 //!
-//! Both campaign engines — the classic 64-way packed simulator of
-//! [`crate::packed`] and the cone-restricted differential lane blocks of
-//! [`crate::differential`] — simulate the same thing: `64 * W` machines per
+//! Both campaign engines — the classic 64-way packed full sweep and the
+//! cone-restricted differential lane blocks of [`crate::differential`] —
+//! simulate the same thing: `64 * W` machines per
 //! [`LaneBlock`](crate::differential::LaneBlock), advanced by word-wide
 //! logic operations over a compiled instruction stream, with fault
 //! injection folded into per-lane masks.  This module owns that machinery
@@ -23,8 +23,9 @@
 //!   transitions with their one-cycle memory, aggressor–victim bridges) in
 //!   [`eval_patched`].
 //!
-//! `PackedSimulator` is literally the `W = 1` instantiation of this core
-//! (one word, 63 fault lanes + the reference in lane 0);
+//! The packed engine drives the `W = 1` instantiation of this core
+//! directly (one word, 63 fault lanes + the reference in lane 0; its
+//! single-word helpers live in `packed`);
 //! `DiffSimulator<W>` wraps the same core with cone-restricted step sets
 //! and a shared good-machine trace, at `W = 4` or `W = 8` words per block.
 //! The wide-`W` hot loops — the N-ary fan-in folds — accumulate in place
@@ -33,8 +34,8 @@
 //! `std::simd`.  There is no second copy of the step-evaluation logic
 //! anywhere in the crate.
 
-use crate::faults::Injection;
 use stfsm_bist::netlist::{Netlist, PlanOp};
+use stfsm_faults::Injection;
 use stfsm_lfsr::bitvec::broadcast;
 
 /// Compiled opcodes of the word-parallel evaluator.  The generic
@@ -284,7 +285,7 @@ impl<'a, const W: usize> PackedCore<'a, W> {
                         bit: bit as u32,
                         launch: path[0],
                         rising: *rising,
-                        conds: crate::faults::path_conditions(netlist, path),
+                        conds: stfsm_faults::delay::path_conditions(netlist, path),
                         launch_prev: false,
                         launch_seen: false,
                         filled: false,
@@ -635,10 +636,6 @@ impl<'a, const W: usize> PackedCore<'a, W> {
         }
     }
 
-    /// Advances every delay memory at the clock edge (once per clock
-    /// cycle, regardless of how many combinational evaluations happened in
-    /// between): the newest raw word shifts into ring slot 0, the path
-    /// launch memories commit, and the sensitization telemetry counts.
     /// Drains the path-delay telemetry accumulated since the last call
     /// (committed slow-polarity launch edges and sensitized launch/capture
     /// activations).
@@ -649,6 +646,33 @@ impl<'a, const W: usize> PackedCore<'a, W> {
         )
     }
 
+    /// The lanes carrying an injected fault (lanes `1..=injections.len()`,
+    /// word-major masks).
+    pub(crate) fn fault_lanes(&self) -> [u64; W] {
+        let mut mask = [0u64; W];
+        for lane in 1..=self.injections.len() {
+            mask[lane / 64] |= 1u64 << (lane % 64);
+        }
+        mask
+    }
+
+    /// One clock edge on every lane: each flip-flop loads its D net's
+    /// packed value, then the delay memories commit.
+    pub(crate) fn clock(&mut self) {
+        for (row, &d) in self
+            .state
+            .iter_mut()
+            .zip(self.netlist.plan().flip_flop_inputs())
+        {
+            *row = self.values[d as usize];
+        }
+        self.commit_transitions();
+    }
+
+    /// Advances every delay memory at the clock edge (once per clock
+    /// cycle, regardless of how many combinational evaluations happened in
+    /// between): the newest raw word shifts into ring slot 0, the path
+    /// launch memories commit, and the sensitization telemetry counts.
     pub(crate) fn commit_transitions(&mut self) {
         for idx in 0..self.patched.len() {
             let ring = &mut self.hist[idx];

@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-/// Upper bound on an explicit `threads` override.  The fan-out spawns one
+/// Upper bound on the `threads` worker count.  The fan-out spawns one
 /// OS thread per worker; anything beyond this is a configuration bug (for
 /// example a byte count pasted into the wrong field), not a plausible host.
 pub const MAX_THREADS: usize = 4096;
@@ -58,8 +58,8 @@ pub enum CampaignError {
         /// The rejected override value.
         requested: usize,
     },
-    /// An explicit `threads` override was zero or implausibly large
-    /// (greater than [`MAX_THREADS`]).
+    /// The `threads` worker count was zero or implausibly large (greater
+    /// than [`MAX_THREADS`]).
     InvalidThreads {
         /// The rejected override value.
         requested: usize,

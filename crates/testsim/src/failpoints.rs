@@ -153,7 +153,7 @@ pub fn arm(plan: ChaosPlan) -> ChaosGuard {
     ChaosGuard { _session: guard }
 }
 
-/// Called once at the start of every threaded fan-out.  Returns the
+/// Called once at the start of every multi-worker fan-out.  Returns the
 /// fan-out's chaos call index while armed, `None` otherwise.
 pub(crate) fn begin_fan_out() -> Option<u64> {
     if !ARMED.load(Ordering::Relaxed) {

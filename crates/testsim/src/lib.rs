@@ -10,44 +10,36 @@
 //!   evaluation plus sequential stepping of the state register), executing
 //!   the netlist's precomputed evaluation plan with no per-cycle
 //!   allocation,
-//! * [`packed`] — the 64-way bit-parallel fault simulator: lane 0 of every
-//!   `u64` runs the fault-free reference, lanes 1–63 each run one injected
-//!   fault of *any* model; since the core unification it is the
-//!   single-word instance of the same compile/eval path the differential
-//!   engine runs,
+//! * the 64-way bit-parallel packed engine: lane 0 of every `u64` runs the
+//!   fault-free reference, lanes 1–63 each run one injected fault of *any*
+//!   model; it is the single-word instance of the same compile/eval core
+//!   the differential engine runs,
 //! * [`differential`] — the cone-restricted differential engine: the good
 //!   machine is simulated once per pattern, faults run in multi-word lane
 //!   blocks (255 fault lanes + the shared good reference) that evaluate
 //!   only the plan steps inside the union of their active faults' fanout
 //!   cones, widening to cover the register cones only while a lane's state
-//!   actually diverges from the reference,
-//! * [`faults`] — compatibility re-export of the stuck-at fault universe,
-//!   which now lives in the `stfsm-faults` crate next to the
-//!   transition-delay and bridging models; both simulators accept any
-//!   model's faults through the model-agnostic
-//!   [`Injection`] descriptors,
+//!   actually diverges from the reference; its blocks shard over any
+//!   number of workers,
 //! * [`patterns`] — pseudo-random and weighted-random primary-input sources,
-//! * [`campaign`] — **the unified campaign API**: a [`Campaign`] builder
-//!   runs a fault universe (one or more fault-model sections) exactly once
-//!   and *streams* it to composable [`CampaignObserver`] lifecycle sinks
-//!   (`on_begin` / per-segment `on_segment` / `on_finish`) —
+//! * [`campaign`] — **the campaign API, the only way in**: a [`Campaign`]
+//!   builder runs a fault universe (one or more fault-model sections)
+//!   exactly once and *streams* it to composable [`CampaignObserver`]
+//!   lifecycle sinks (`on_begin` / per-segment `on_segment` / `on_finish`) —
 //!   [`CoverageObserver`], [`DictionaryObserver`], [`DiagnosisObserver`],
 //!   plus the stopping observers [`CoverageTargetObserver`] and
 //!   [`TestLengthObserver`], which end the campaign at the next boundary
 //!   of the pinned [`coverage::segment_schedule`] once every observer has
 //!   voted to stop — deterministically, bit-for-bit identical across
 //!   engines and thread counts,
-//! * [`coverage`] — the coverage result types, the shared
-//!   [`CampaignConfig`] knobs and the legacy one-shot entry points
-//!   ([`run_self_test`], [`run_injection_campaign`]), kept as thin
-//!   deprecated wrappers over the campaign API (bit-for-bit identical
-//!   results),
+//! * [`coverage`] — the coverage result types, the [`CampaignConfig`]
+//!   settings and the engine choice ([`SimEngine`]),
 //! * [`dictionary`] — fault dictionaries for diagnosis: per-fault
 //!   first-detect indices plus full-campaign and per-segment intermediate
 //!   MISR signatures, computed word-parallel across all lanes of the
 //!   selected engine through the single shared recurrence
-//!   [`stfsm_lfsr::Misr::step_planes`]; [`build_fault_dictionary`] is the
-//!   legacy wrapper,
+//!   [`stfsm_lfsr::Misr::step_planes`] (run a campaign with a
+//!   [`DictionaryObserver`]),
 //! * [`diagnosis`] — the top-level diagnosis flow: map an observed failing
 //!   signature to ranked candidate faults across models, with per-segment
 //!   intermediate signatures disambiguating aliases,
@@ -71,37 +63,22 @@
 //!   counter set every engine fills (worklist events, full-sweep
 //!   fallbacks, widenings, cache hits, …) and the per-segment
 //!   [`SegmentTelemetry`] phase spans surfaced on [`SegmentSnapshot`] and
-//!   [`CampaignOutcome`]; counters are always on, span timing is gated by
-//!   [`CampaignConfig::telemetry`](coverage::CampaignConfig::telemetry),
-//!   and neither ever changes a result bit.
+//!   [`CampaignOutcome`]; both are always on, and neither ever changes a
+//!   result bit.
 //!
-//! # Deprecated one-shot wrappers
-//!
-//! [`run_self_test`], [`run_injection_campaign`] and
-//! [`build_fault_dictionary`] predate the campaign API.  They remain fully
-//! supported (and are verified bit-for-bit against the campaign path), but
-//! they are thin wrappers now: each builds a single-section [`Campaign`]
-//! with one observer.  New code should drive [`Campaign`] directly — it
-//! shares one simulation pass across all observers instead of
-//! re-simulating per question.
-//!
-//! The deprecation is doc-level by design: the wrappers carry no
-//! `#[deprecated]` attribute (so existing callers build warning-free, and
-//! the differential tests that pin the wrappers to the campaign path stay
-//! lint-clean); this section and the wrappers' own docs are the migration
-//! notice.
+//! Fault universes come from the `stfsm-faults` crate
+//! ([`Injection`](stfsm_faults::Injection) descriptors of any model).
 //!
 //! # The engine matrix
 //!
-//! Campaigns are driven by one of five engines, all bit-for-bit
+//! Campaigns are driven by one of four engine choices, all bit-for-bit
 //! interchangeable ([`coverage::SimEngine`]):
 //!
 //! | Engine | Technique | When it wins |
 //! |---|---|---|
 //! | `Scalar` | one fault per boolean sweep | debugging a single fault; the differential-testing reference every other engine is checked against |
 //! | `Packed` | 63 faults + reference per `u64` word | small fault lists and tiny machines, where the cone bookkeeping of the differential engine cannot pay for itself |
-//! | `Differential` | good machine once per pattern, 255 faults per 4-word lane block, evaluation restricted to the active faults' fanout cones | large netlists and long campaigns — the bigger the netlist relative to the average fault cone, the bigger the win |
-//! | `Threaded` | lane blocks sharded over workers, one shared good trace per segment | multi-core hosts with fault lists spanning several blocks; deterministic merge keeps results identical |
+//! | `Differential` | good machine once per pattern, up to 511 faults per lane block, evaluation restricted to the active faults' fanout cones, blocks sharded over [`CampaignConfig::threads`] workers | large netlists and long campaigns — the bigger the netlist relative to the average fault cone, the bigger the win; extra workers help on multi-core hosts |
 //! | `Auto` | picks `Packed` vs `Differential` per machine size | when the caller does not want to care |
 //!
 //! # Example
@@ -146,8 +123,7 @@ pub mod differential;
 mod engine;
 pub mod error;
 pub mod failpoints;
-pub mod faults;
-pub mod packed;
+mod packed;
 pub mod patterns;
 pub mod sim;
 pub mod telemetry;
@@ -159,15 +135,10 @@ pub use campaign::{
     SegmentSnapshot, TestLengthObserver,
 };
 pub use checkpoint::CampaignCheckpoint;
-pub use coverage::{
-    run_injection_campaign, run_self_test, segment_schedule, CampaignConfig, CoverageResult,
-    SelfTestConfig, SimEngine,
-};
+pub use coverage::{segment_schedule, CampaignConfig, CoverageResult, SimEngine};
 pub use diagnosis::{Diagnosis, DiagnosisCandidate, DiagnosisObserver};
-pub use dictionary::{build_fault_dictionary, DictionaryEntry, FaultDictionary};
+pub use dictionary::{DictionaryEntry, FaultDictionary};
 pub use differential::LaneBlock;
 pub use error::{CampaignError, ObserverPhase};
-pub use faults::{Fault, FaultList, FaultSite, Injection};
-pub use packed::PackedSimulator;
 pub use sim::Simulator;
 pub use telemetry::{CampaignMetrics, CampaignTelemetry, SegmentTelemetry, WorkerSpan};

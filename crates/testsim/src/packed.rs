@@ -1,231 +1,73 @@
-//! 64-way bit-parallel (packed) fault simulation.
+//! The single-word instance of the word-parallel core: 64-way
+//! bit-parallel (packed) fault simulation.
 //!
-//! A [`PackedSimulator`] evaluates a netlist on `u64` words instead of
-//! booleans: bit `i` of every word is an independent simulated machine
-//! ("lane" `i`).  Lane 0 always runs the fault-free reference; lanes
-//! `1..=63` each carry one injected fault of any model ([`Injection`]).
+//! `PackedCore<1>` evaluates a netlist on `u64` words instead of booleans:
+//! bit `i` of every word is an independent simulated machine ("lane" `i`).
+//! Lane 0 always runs the fault-free reference; lanes `1..=63` each carry
+//! one injected fault of any model ([`Injection`](stfsm_faults::Injection)).
 //! One sweep over the evaluation plan therefore advances the reference
-//! *and* up to [`FAULT_LANES`] faulty machines at once, turning the inner
-//! loop of a fault-coverage campaign into word-wide AND/OR/XOR operations —
-//! the classic parallel-fault simulation technique, generalized to
-//! model-agnostic lanes.
+//! *and* up to [`FAULT_LANES`] faulty machines at once — the classic
+//! parallel-fault simulation technique, generalized to model-agnostic
+//! lanes.
 //!
-//! Since the unification of the simulation cores, this type is literally
-//! the single-word ([`LaneBlock<1>`](crate::differential::LaneBlock))
-//! instantiation of the shared compile/eval path in `engine` that also
-//! powers the event-driven differential lane blocks (at widths up to
-//! `W = 8`): the compiled opcodes, the branch-free injection algebra
-//! (stuck outputs/pins, delayed transitions, bridges) and the
-//! change-detecting step evaluation exist exactly once.  What
-//! remains here is the packed-specific *campaign* surface: broadcast
-//! stimulus, full-plan sweeps, and word-wide mismatch detection against
-//! lane 0 ([`PackedSimulator::mismatch_word`]) — XOR-ing each observation
-//! word with the broadcast of its lane-0 bit yields a word whose set bits
-//! are exactly the lanes that currently disagree with the fault-free
-//! machine.  Retired (already detected) lanes are simply masked out by the
-//! caller — fault dropping without any per-fault state.
+//! The compiled opcodes, the injection algebra and the step evaluation
+//! live once in `engine`, generic over the word count.  This module adds
+//! what the full-sweep packed engine, the packed dictionary pass and the
+//! compiled transition tables need on top at `W = 1`: register state as
+//! one word per flip-flop, and word-wide mismatch detection against lane 0
+//! ([`PackedCore::mismatch_word`]) — XOR-ing each observation word with
+//! the broadcast of its lane-0 bit yields a word whose set bits are
+//! exactly the lanes that currently disagree with the fault-free machine.
+//! Retired (already detected) lanes are simply masked out by the caller —
+//! fault dropping without any per-fault state.
 
 use crate::engine::PackedCore;
-use crate::faults::{Fault, Injection};
-use stfsm_bist::netlist::Netlist;
 use stfsm_lfsr::bitvec::{broadcast, WORD_LANES};
 
 /// Number of faulty machines per packed word (lane 0 is the reference).
-pub const FAULT_LANES: usize = WORD_LANES - 1;
+pub(crate) const FAULT_LANES: usize = WORD_LANES - 1;
 
-/// A 64-lane parallel-fault simulator for one [`Netlist`]: the
-/// [`LaneBlock<1>`](crate::differential::LaneBlock) instance of the shared
-/// word-parallel simulation core.
-#[derive(Debug, Clone)]
-pub struct PackedSimulator<'a> {
-    core: PackedCore<'a, 1>,
-}
-
-impl<'a> PackedSimulator<'a> {
-    /// Creates a packed simulator with no faults injected (all 64 lanes run
-    /// the fault-free machine).
-    pub fn new(netlist: &'a Netlist) -> Self {
-        Self::with_faults(netlist, &[])
-    }
-
-    /// Creates a packed simulator with `faults[i]` injected into lane
-    /// `i + 1`; lane 0 stays fault-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`FAULT_LANES`] faults are given.
-    pub fn with_faults(netlist: &'a Netlist, faults: &[Fault]) -> Self {
-        let injections: Vec<Injection> = faults.iter().map(|&f| f.into()).collect();
-        Self::with_injections(netlist, &injections)
-    }
-
-    /// Creates a packed simulator with `injections[i]` (any fault model)
-    /// injected into lane `i + 1`; lane 0 stays fault-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`FAULT_LANES`] injections are given, or if a
-    /// [`Injection::Bridge`] aggressor does not precede its victim in the
-    /// topological net order.
-    pub fn with_injections(netlist: &'a Netlist, injections: &[Injection]) -> Self {
-        Self {
-            core: PackedCore::compile(netlist, injections),
-        }
-    }
-
-    /// The netlist under simulation.
-    pub fn netlist(&self) -> &Netlist {
-        self.core.netlist
-    }
-
-    /// Number of injected faults (lanes `1..=num_faults` are faulty).
-    pub fn num_faults(&self) -> usize {
-        self.core.injections.len()
-    }
-
-    /// The injected faults (lane `i + 1` carries fault `i`).
-    pub fn injections(&self) -> &[Injection] {
-        &self.core.injections
-    }
-
-    /// The lane mask covering all injected faults.
-    pub fn fault_lanes_mask(&self) -> u64 {
-        if self.core.injections.is_empty() {
-            0
-        } else {
-            ((1u128 << (self.core.injections.len() + 1)) - 2) as u64
-        }
-    }
-
-    /// The canonical lane memory of a faulty lane (the delay-line /
-    /// launch-memory bits every engine reduces a stateful lane to at a
-    /// segment boundary).  Empty for stateless injections and unfilled
-    /// delay lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is 0 or exceeds the number of injected faults.
-    pub fn injection_memory(&self, lane: usize) -> Vec<bool> {
-        self.core.injection_memory(lane)
-    }
-
-    /// Seeds the lane memory of a faulty lane from its canonical form
-    /// (used when a campaign migrates a surviving fault into a fresh
-    /// chunk).  No-op for stateless injections.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is 0 or exceeds the number of injected faults.
-    pub fn seed_injection_memory(&mut self, lane: usize, memory: &[bool]) {
-        self.core.seed_injection_memory(lane, memory);
-    }
-
-    /// Drains the path-delay telemetry accumulated since the last call:
-    /// committed slow-polarity launch edges and sensitized launch/capture
-    /// activations (see
-    /// [`CampaignMetrics`](crate::telemetry::CampaignMetrics)).
-    pub fn take_path_counters(&mut self) -> (u64, u64) {
-        self.core.take_path_counters()
-    }
-
-    /// Sets every lane of the register to the same state (the scan
-    /// initialisation and the pattern-generation override both load one
-    /// shared value into all machines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length differs from the number of flip-flops.
-    pub fn set_state_broadcast(&mut self, bits: &[bool]) {
-        self.core.set_state_broadcast_bits(bits);
-    }
-
+impl PackedCore<'_, 1> {
     /// Sets the register from per-lane words (stage 1 first).
     ///
     /// # Panics
     ///
     /// Panics if the slice length differs from the number of flip-flops.
-    pub fn set_state_words(&mut self, words: &[u64]) {
-        assert_eq!(words.len(), self.core.state.len(), "state width mismatch");
-        for (row, &w) in self.core.state.iter_mut().zip(words) {
+    pub(crate) fn set_state_words(&mut self, words: &[u64]) {
+        assert_eq!(words.len(), self.state.len(), "state width mismatch");
+        for (row, &w) in self.state.iter_mut().zip(words) {
             *row = [w];
         }
     }
 
     /// The packed register state (one word per flip-flop, stage 1 first).
-    ///
-    /// Copies the rows out of the shared multi-word core (an owned `Vec`
-    /// rather than the pre-unification borrow); campaigns call this once
-    /// per chunk per segment, never per cycle.
-    pub fn state_words(&self) -> Vec<u64> {
-        self.core.state.iter().map(|row| row[0]).collect()
-    }
-
-    /// Evaluates the combinational logic for broadcast primary-input words
-    /// (one word per input, typically `broadcast(bit)` since all machines
-    /// see the same stimulus).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the number of primary inputs.
-    pub fn evaluate(&mut self, inputs: &[u64]) {
-        self.core.eval_all(inputs);
-    }
-
-    /// One fused self-test cycle: evaluate the logic, compare every lane's
-    /// observation points against fault-free lane 0, clock the register.
-    /// Returns the mismatch word of this cycle (bit `i` set iff machine `i`
-    /// disagreed with the reference before the clock edge).
-    pub fn step_detect(&mut self, inputs: &[u64]) -> u64 {
-        self.evaluate(inputs);
-        let mismatch = self.mismatch_word();
-        self.clock();
-        mismatch
-    }
-
-    /// The packed value of a net after the last [`PackedSimulator::evaluate`].
-    pub fn net_word(&self, net: usize) -> u64 {
-        self.core.values[net][0]
+    pub(crate) fn state_words(&self) -> Vec<u64> {
+        self.state.iter().map(|row| row[0]).collect()
     }
 
     /// Lanes whose observation points currently differ from the fault-free
     /// lane 0: bit `i` is set iff machine `i` disagrees with the reference
     /// on at least one observation point this cycle.  Bit 0 is always zero.
     #[inline]
-    pub fn mismatch_word(&self) -> u64 {
+    pub(crate) fn mismatch_word(&self) -> u64 {
         let mut acc = 0u64;
-        for &net in self.core.netlist.plan().observation_points() {
-            let w = self.core.values[net as usize][0];
+        for &net in self.netlist.plan().observation_points() {
+            let w = self.values[net as usize][0];
             acc |= w ^ broadcast(w & 1 == 1);
         }
         acc
-    }
-
-    /// Loads the flip-flops from their D inputs (one clock edge, all lanes).
-    #[inline]
-    pub fn clock(&mut self) {
-        for (i, &d) in self
-            .core
-            .netlist
-            .plan()
-            .flip_flop_inputs()
-            .iter()
-            .enumerate()
-        {
-            self.core.state[i] = self.core.values[d as usize];
-        }
-        self.core.commit_transitions();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSite;
     use crate::sim::Simulator;
     use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
-    use stfsm_bist::netlist::build_netlist;
+    use stfsm_bist::netlist::{build_netlist, Netlist};
     use stfsm_bist::BistStructure;
     use stfsm_encode::StateEncoding;
+    use stfsm_faults::{Fault, FaultList, FaultSite, Injection};
     use stfsm_fsm::suite::{fig3_example, modulo12_exact};
     use stfsm_lfsr::bitvec::lane;
     use stfsm_lfsr::{primitive_polynomial, Misr};
@@ -252,13 +94,18 @@ mod tests {
         build_netlist("dff", &cover, &lay, BistStructure::Dff, None).unwrap()
     }
 
+    fn with_faults<'a>(netlist: &'a Netlist, faults: &[Fault]) -> PackedCore<'a, 1> {
+        let injections: Vec<Injection> = faults.iter().map(|&f| f.into()).collect();
+        PackedCore::compile(netlist, &injections)
+    }
+
     /// Lane 0 of a fault-free packed run must equal the scalar simulator on
     /// every net, every cycle.
     #[test]
     fn fault_free_lane_matches_scalar() {
         for netlist in [pst_netlist(), dff_netlist()] {
             let mut scalar = Simulator::new(&netlist);
-            let mut packed = PackedSimulator::new(&netlist);
+            let mut packed = with_faults(&netlist, &[]);
             let ni = netlist.primary_inputs().len();
             let mut lcg = 0xABCD_EF01u64;
             for _ in 0..200 {
@@ -268,12 +115,12 @@ mod tests {
                 let inputs: Vec<bool> = (0..ni).map(|i| (lcg >> (i + 13)) & 1 == 1).collect();
                 let words: Vec<u64> = inputs.iter().map(|&b| broadcast(b)).collect();
                 scalar.evaluate(&inputs);
-                packed.evaluate(&words);
+                packed.eval_all(&words);
                 for net in 0..netlist.gates().len() {
-                    assert_eq!(scalar.net(net), lane(packed.net_word(net), 0), "net {net}");
+                    assert_eq!(scalar.net(net), lane(packed.values[net][0], 0), "net {net}");
                     // No faults: all lanes agree.
                     assert!(
-                        packed.net_word(net) == 0 || packed.net_word(net) == u64::MAX,
+                        packed.values[net][0] == 0 || packed.values[net][0] == u64::MAX,
                         "net {net} diverged without faults"
                     );
                 }
@@ -288,13 +135,13 @@ mod tests {
     #[test]
     fn faulty_lanes_match_scalar_single_fault_runs() {
         let netlist = pst_netlist();
-        let faults: Vec<Fault> = crate::faults::FaultList::collapsed(&netlist)
+        let faults: Vec<Fault> = FaultList::collapsed(&netlist)
             .faults()
             .iter()
             .copied()
             .take(FAULT_LANES)
             .collect();
-        let mut packed = PackedSimulator::with_faults(&netlist, &faults);
+        let mut packed = with_faults(&netlist, &faults);
         let mut scalars: Vec<Simulator<'_>> = faults
             .iter()
             .map(|&f| Simulator::with_fault(&netlist, f))
@@ -308,7 +155,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let inputs: Vec<bool> = (0..ni).map(|i| (lcg >> (i + 17)) & 1 == 1).collect();
             let words: Vec<u64> = inputs.iter().map(|&b| broadcast(b)).collect();
-            packed.evaluate(&words);
+            packed.eval_all(&words);
             reference.evaluate(&inputs);
             let mismatch = packed.mismatch_word();
             let ref_obs = reference.observations();
@@ -317,7 +164,7 @@ mod tests {
                 for net in 0..netlist.gates().len() {
                     assert_eq!(
                         scalar.net(net),
-                        lane(packed.net_word(net), i + 1),
+                        lane(packed.values[net][0], i + 1),
                         "cycle {cycle} fault {i} net {net}"
                     );
                 }
@@ -337,27 +184,25 @@ mod tests {
     #[test]
     fn state_broadcast_and_words() {
         let netlist = dff_netlist();
-        let mut packed = PackedSimulator::new(&netlist);
-        packed.set_state_broadcast(&[true, false]);
+        let mut packed = with_faults(&netlist, &[]);
+        packed.set_state_broadcast_bits(&[true, false]);
         assert_eq!(packed.state_words(), &[u64::MAX, 0]);
         packed.set_state_words(&[5, 9]);
         assert_eq!(packed.state_words(), &[5, 9]);
-        assert_eq!(packed.num_faults(), 0);
-        assert_eq!(packed.fault_lanes_mask(), 0);
-        assert_eq!(packed.netlist().name(), "dff");
+        assert_eq!(packed.fault_lanes(), [0]);
     }
 
     #[test]
     fn fault_lanes_mask_covers_exactly_the_faulty_lanes() {
         let netlist = dff_netlist();
-        let faults = crate::faults::FaultList::collapsed(&netlist);
+        let faults = FaultList::collapsed(&netlist);
         for n in [1usize, 2, 5, FAULT_LANES.min(faults.len())] {
             let chunk: Vec<Fault> = faults.faults().iter().copied().take(n).collect();
-            let packed = PackedSimulator::with_faults(&netlist, &chunk);
-            let mask = packed.fault_lanes_mask();
+            let packed = with_faults(&netlist, &chunk);
+            let [mask] = packed.fault_lanes();
             assert_eq!(mask.count_ones() as usize, n);
             assert_eq!(mask & 1, 0, "lane 0 must stay fault-free");
-            assert_eq!(packed.num_faults(), n);
+            assert_eq!(mask, ((1u128 << (n + 1)) - 2) as u64);
         }
     }
 
@@ -369,14 +214,14 @@ mod tests {
             site: FaultSite::GateOutput(0),
             stuck_at: true,
         };
-        let _ = PackedSimulator::with_faults(&netlist, &vec![fault; FAULT_LANES + 1]);
+        let _ = with_faults(&netlist, &vec![fault; FAULT_LANES + 1]);
     }
 
     #[test]
     #[should_panic(expected = "primary input width mismatch")]
     fn wrong_input_width_panics() {
         let netlist = dff_netlist();
-        let mut packed = PackedSimulator::new(&netlist);
-        packed.evaluate(&[0, 0, 0]);
+        let mut packed = with_faults(&netlist, &[]);
+        packed.eval_all(&[0, 0, 0]);
     }
 }

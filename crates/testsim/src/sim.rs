@@ -1,7 +1,7 @@
 //! Deterministic gate-level simulation.
 
-use crate::faults::{Fault, Injection};
 use stfsm_bist::netlist::{EvalPlan, Netlist, PlanOp};
+use stfsm_faults::{Fault, Injection};
 
 /// A gate-level simulator for one [`Netlist`].
 ///
@@ -16,7 +16,7 @@ use stfsm_bist::netlist::{EvalPlan, Netlist, PlanOp};
 /// opcode array with dense operand indices — and the whole simulate cycle
 /// (`evaluate` / [`Simulator::observations_into`] / [`Simulator::clock`])
 /// performs no heap allocation, so this scalar path is a lean reference for
-/// the 64-way packed engine in [`crate::packed`].
+/// the 64-way packed engine ([`SimEngine::Packed`](crate::coverage::SimEngine::Packed)).
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
@@ -120,7 +120,7 @@ impl<'a> Simulator<'a> {
                     "path nets must be strictly ascending"
                 );
                 sim.delay_hist = vec![false];
-                sim.path_conds = crate::faults::path_conditions(netlist, path);
+                sim.path_conds = stfsm_faults::delay::path_conditions(netlist, path);
             }
             _ => {}
         }
@@ -509,11 +509,11 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSite;
     use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
     use stfsm_bist::netlist::{build_netlist, Gate};
     use stfsm_bist::BistStructure;
     use stfsm_encode::StateEncoding;
+    use stfsm_faults::FaultSite;
     use stfsm_fsm::suite::{fig3_example, modulo12_exact};
     use stfsm_fsm::{Fsm, StateId};
     use stfsm_lfsr::{primitive_polynomial, Misr};
@@ -827,7 +827,7 @@ mod tests {
             let Injection::PathDelay { path, rising } = injection else {
                 panic!("foreign injection {injection}");
             };
-            let conds = crate::faults::path_conditions(&netlist, path);
+            let conds = stfsm_faults::delay::path_conditions(&netlist, path);
             let terminal = *path.last().unwrap() as usize;
             let launch_net = path[0] as usize;
             let mut good = Simulator::new(&netlist);

@@ -9,17 +9,13 @@
 //! misses, stimulus rows generated — and the campaign layer stamps one
 //! [`SegmentTelemetry`] record per compaction segment with wall-clock
 //! phase spans (stimulus / good-trace / fault-eval / dictionary /
-//! observer) plus per-worker busy spans under
-//! [`SimEngine::Threaded`](crate::coverage::SimEngine::Threaded).
+//! observer) plus per-worker busy spans when the differential engine runs
+//! more than one worker.
 //!
-//! The instrumentation is designed to be left on: counters are plain
-//! integer increments on state the engines already touch, and wall-clock
-//! reads happen only at segment and phase boundaries (a handful of
-//! [`std::time::Instant`] calls per segment), gated by
-//! [`CampaignConfig::telemetry`](crate::coverage::CampaignConfig::telemetry).
-//! Telemetry never feeds back into simulation: results are bit-for-bit
-//! identical with the flag on or off, which the integration tests enforce
-//! across the whole suite and engine matrix.
+//! The instrumentation is always on: counters are plain integer increments
+//! on state the engines already touch, and wall-clock reads happen only at
+//! segment and phase boundaries (a handful of [`std::time::Instant`] calls
+//! per segment).  Telemetry never feeds back into simulation.
 //!
 //! [`CampaignMetrics::peak_rss_kb`] is *not* filled by the engines (this
 //! crate deliberately has no platform probes); the `stfsm-trace` layer and
@@ -48,12 +44,12 @@ pub struct CampaignMetrics {
     pub events_drained: u64,
     /// Member steps the event scheduler did *not* have to evaluate —
     /// quiescent logic inside the active step set, summed per event-driven
-    /// cycle.  The work the worklist saves over the v1 full-cone sweep.
+    /// cycle.  The work the worklist saves over a full-cone sweep.
     pub steps_skipped: u64,
     /// Full member-set sweeps: cycles on which stored values could not be
     /// trusted incrementally (fresh or rebuilt step sets, entry into the
-    /// wide set, a newly diverged word while wide) or event scheduling is
-    /// disabled, so the whole active step set was evaluated.
+    /// wide set, a newly diverged word while wide), so the whole active
+    /// step set was evaluated.
     pub full_sweeps: u64,
     /// Cycles advanced by the event-driven worklist (the complement of
     /// [`CampaignMetrics::full_sweeps`] over all block-cycles).
@@ -97,7 +93,7 @@ pub struct CampaignMetrics {
     /// not the sum.
     pub peak_rss_kb: u64,
     /// Wall time spent generating and broadcasting stimulus rows, in
-    /// nanoseconds (zero when span timing is disabled).
+    /// nanoseconds.
     pub stimulus_ns: u64,
     /// Wall time spent recording (or replaying) the fault-free machine's
     /// trace and advancing its reference signature, in nanoseconds.
@@ -166,14 +162,14 @@ impl CampaignMetrics {
     }
 }
 
-/// The busy span of one worker of a threaded segment fan-out: the
+/// The busy span of one worker of a multi-worker segment fan-out: the
 /// wall-clock window (nanoseconds, relative to the segment's fault-eval
 /// phase start) during which the worker was advancing lane blocks.
 ///
 /// Workers are the contiguous block groups of the deterministic sharding
 /// (`worker = block index / group length`); the spans are measurement
-/// only — scheduling never changes a result bit — and are empty when span
-/// timing is disabled or the segment ran single-threaded.
+/// only — scheduling never changes a result bit — and are empty when the
+/// segment ran on one worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerSpan {
     /// Worker index within the segment's fan-out.
@@ -188,7 +184,7 @@ pub struct WorkerSpan {
 
 /// The telemetry record of one campaign segment: the wall-clock window,
 /// the segment's counter deltas and the per-worker busy spans of a
-/// threaded fan-out.
+/// multi-worker fan-out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentTelemetry {
     /// Index of the segment in the pinned schedule
@@ -197,15 +193,15 @@ pub struct SegmentTelemetry {
     /// Patterns applied once this segment completed (its end boundary).
     pub patterns_applied: usize,
     /// Nanoseconds from the start of the simulation pass to this segment
-    /// starting (zero when span timing is disabled).
+    /// starting.
     pub start_ns: u64,
     /// Nanoseconds from the start of the simulation pass to this segment's
-    /// boundary report (zero when span timing is disabled).
+    /// boundary report.
     pub end_ns: u64,
     /// The segment's counter and span deltas (not running totals).
     pub metrics: CampaignMetrics,
     /// Per-worker busy spans of the segment's fault-eval fan-out; empty
-    /// unless the segment ran threaded with span timing enabled.
+    /// unless the segment ran on more than one worker.
     pub workers: Vec<WorkerSpan>,
 }
 
@@ -234,23 +230,20 @@ impl CampaignTelemetry {
     }
 }
 
-/// A phase stopwatch that compiles to nothing when spans are disabled:
-/// [`PhaseTimer::start`] reads the clock only when `enabled`, and
-/// [`PhaseTimer::elapsed_ns`] reports zero otherwise.  Non-consuming, so
-/// one timer can serve as a segment epoch for several offset reads.
+/// A phase stopwatch.  Non-consuming, so one timer can serve as a segment
+/// epoch for several offset reads.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PhaseTimer(Option<std::time::Instant>);
+pub(crate) struct PhaseTimer(std::time::Instant);
 
 impl PhaseTimer {
-    /// Starts the stopwatch iff `enabled`.
-    pub(crate) fn start(enabled: bool) -> Self {
-        Self(enabled.then(std::time::Instant::now))
+    /// Starts the stopwatch.
+    pub(crate) fn start() -> Self {
+        Self(std::time::Instant::now())
     }
 
-    /// Nanoseconds elapsed since [`PhaseTimer::start`]; zero when the
-    /// timer is disabled.
+    /// Nanoseconds elapsed since [`PhaseTimer::start`].
     pub(crate) fn elapsed_ns(&self) -> u64 {
-        self.0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
+        self.0.elapsed().as_nanos() as u64
     }
 }
 
@@ -348,13 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_phase_timer_reports_zero() {
-        let disabled = PhaseTimer::start(false);
-        assert_eq!(disabled.elapsed_ns(), 0);
-        let enabled = PhaseTimer::start(true);
+    fn phase_timer_is_monotone() {
+        let timer = PhaseTimer::start();
         // Monotone, not zero-pinned: any reading is valid, including 0 on
         // a coarse clock, so only assert it never *decreases*.
-        let first = enabled.elapsed_ns();
-        assert!(enabled.elapsed_ns() >= first);
+        let first = timer.elapsed_ns();
+        assert!(timer.elapsed_ns() >= first);
     }
 }

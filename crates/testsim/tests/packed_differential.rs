@@ -1,6 +1,6 @@
-//! Randomized differential tests: the 64-way packed, the cone-restricted
-//! differential and the sharded multi-threaded fault-simulation engines
-//! must produce detection patterns bit-for-bit identical to the scalar
+//! Randomized differential tests: the 64-way packed and the cone-restricted
+//! differential fault-simulation engines, the latter at several worker
+//! counts, must produce detection patterns bit-for-bit identical to the scalar
 //! engine on randomly generated controllers, across fault models,
 //! structures, seeds and campaign configurations — and the fault
 //! dictionaries built on the differential block engine must equal the
@@ -10,12 +10,13 @@ use stfsm_bist::excitation::{build_pla, layout, RegisterTransform};
 use stfsm_bist::netlist::{build_netlist, Netlist};
 use stfsm_bist::BistStructure;
 use stfsm_encode::StateEncoding;
-use stfsm_faults::all_models;
+use stfsm_faults::{all_models, FaultList, Injection, StuckAt};
 use stfsm_fsm::generate::small_random;
 use stfsm_lfsr::{primitive_polynomial, Misr};
 use stfsm_logic::espresso::minimize;
-use stfsm_testsim::coverage::{run_injection_campaign, run_self_test, SelfTestConfig, SimEngine};
-use stfsm_testsim::dictionary::build_fault_dictionary;
+use stfsm_testsim::campaign::{Campaign, DictionaryObserver};
+use stfsm_testsim::coverage::{CampaignConfig, CoverageResult, SimEngine};
+use stfsm_testsim::dictionary::FaultDictionary;
 
 fn synthesize(fsm: &stfsm_fsm::Fsm, structure: BistStructure) -> Netlist {
     let encoding = StateEncoding::natural(fsm).expect("encodable");
@@ -36,6 +37,35 @@ fn synthesize(fsm: &stfsm_fsm::Fsm, structure: BistStructure) -> Netlist {
     build_netlist(fsm.name(), &cover, &lay, structure, poly).expect("netlist")
 }
 
+/// A one-section coverage campaign over `faults`.
+fn coverage(netlist: &Netlist, faults: &[Injection], config: &CampaignConfig) -> CoverageResult {
+    Campaign::new(netlist)
+        .config(config.clone())
+        .faults("faults", faults.to_vec())
+        .run()
+        .coverage(0)
+}
+
+/// The collapsed stuck-at campaign over `netlist`.
+fn stuck_at(netlist: &Netlist, config: &CampaignConfig) -> CoverageResult {
+    Campaign::new(netlist)
+        .config(config.clone())
+        .model(&StuckAt)
+        .run()
+        .coverage(0)
+}
+
+/// A one-section campaign's dictionary over `faults`.
+fn dictionary(netlist: &Netlist, faults: &[Injection], config: &CampaignConfig) -> FaultDictionary {
+    let mut dictionaries = DictionaryObserver::new();
+    Campaign::new(netlist)
+        .config(config.clone())
+        .faults("faults", faults.to_vec())
+        .observe(&mut dictionaries)
+        .run();
+    dictionaries.into_dictionaries().remove(0)
+}
+
 #[test]
 fn packed_matches_scalar_on_random_controllers() {
     for seed in 0..12u64 {
@@ -44,23 +74,34 @@ fn packed_matches_scalar_on_random_controllers() {
             let netlist = synthesize(&fsm, structure);
             // Vary the campaign shape with the seed: pattern count, fault
             // collapsing and sampling all change chunk layouts.
-            let base = SelfTestConfig {
+            let list = if seed % 2 == 0 {
+                FaultList::collapsed(&netlist)
+            } else {
+                FaultList::full(&netlist)
+            };
+            let faults: Vec<Injection> = list
+                .sampled(1 + seed as usize % 3)
+                .faults()
+                .iter()
+                .map(|&f| f.into())
+                .collect();
+            let base = CampaignConfig {
                 max_patterns: 64 + 32 * (seed as usize % 5),
                 seed: 0xD1FF ^ seed,
-                collapse_faults: seed % 2 == 0,
-                fault_sample: 1 + seed as usize % 3,
                 ..Default::default()
             };
-            let scalar = run_self_test(
+            let scalar = coverage(
                 &netlist,
-                &SelfTestConfig {
+                &faults,
+                &CampaignConfig {
                     engine: SimEngine::Scalar,
                     ..base.clone()
                 },
             );
-            let packed = run_self_test(
+            let packed = coverage(
                 &netlist,
-                &SelfTestConfig {
+                &faults,
+                &CampaignConfig {
                     engine: SimEngine::Packed,
                     ..base
                 },
@@ -76,8 +117,8 @@ fn packed_matches_scalar_on_random_controllers() {
 }
 
 /// The randomized-netlist property: for every fault model, the scalar,
-/// packed and multi-threaded engines agree bit-for-bit — across random
-/// controllers, structures and thread counts (including more threads than
+/// packed and differential engines agree bit-for-bit — across random
+/// controllers, structures and worker counts (including more workers than
 /// shards and a worker count that does not divide the fault list).
 #[test]
 fn all_engines_agree_for_every_model_on_random_controllers() {
@@ -87,23 +128,23 @@ fn all_engines_agree_for_every_model_on_random_controllers() {
             let netlist = synthesize(&fsm, structure);
             for model in all_models() {
                 let faults = model.fault_list(&netlist, seed % 2 == 0);
-                let base = SelfTestConfig {
+                let base = CampaignConfig {
                     max_patterns: 64 + 48 * (seed as usize % 4),
                     seed: 0xFA_0715 ^ seed,
                     ..Default::default()
                 };
-                let scalar = run_injection_campaign(
+                let scalar = coverage(
                     &netlist,
                     &faults,
-                    &SelfTestConfig {
+                    &CampaignConfig {
                         engine: SimEngine::Scalar,
                         ..base.clone()
                     },
                 );
-                let packed = run_injection_campaign(
+                let packed = coverage(
                     &netlist,
                     &faults,
-                    &SelfTestConfig {
+                    &CampaignConfig {
                         engine: SimEngine::Packed,
                         ..base.clone()
                     },
@@ -115,10 +156,10 @@ fn all_engines_agree_for_every_model_on_random_controllers() {
                     model.name(),
                     fsm.name()
                 );
-                let differential = run_injection_campaign(
+                let differential = coverage(
                     &netlist,
                     &faults,
-                    &SelfTestConfig {
+                    &CampaignConfig {
                         engine: SimEngine::Differential,
                         ..base.clone()
                     },
@@ -131,12 +172,12 @@ fn all_engines_agree_for_every_model_on_random_controllers() {
                     fsm.name()
                 );
                 for threads in [2, 3, 64] {
-                    let threaded = run_injection_campaign(
+                    let threaded = coverage(
                         &netlist,
                         &faults,
-                        &SelfTestConfig {
-                            engine: SimEngine::Threaded,
-                            threads: Some(threads),
+                        &CampaignConfig {
+                            engine: SimEngine::Differential,
+                            threads,
                             ..base.clone()
                         },
                     );
@@ -158,16 +199,16 @@ fn threaded_stuck_at_self_test_matches_packed() {
     for seed in 0..4u64 {
         let fsm = small_random(500 + seed);
         let netlist = synthesize(&fsm, BistStructure::Pst);
-        let base = SelfTestConfig {
+        let base = CampaignConfig {
             max_patterns: 192,
             ..Default::default()
         };
-        let packed = run_self_test(&netlist, &base);
-        let threaded = run_self_test(
+        let packed = stuck_at(&netlist, &base);
+        let threaded = stuck_at(
             &netlist,
-            &SelfTestConfig {
-                engine: SimEngine::Threaded,
-                threads: Some(4),
+            &CampaignConfig {
+                engine: SimEngine::Differential,
+                threads: 4,
                 ..base
             },
         );
@@ -188,23 +229,23 @@ fn differential_matches_packed_through_long_divergence() {
         let netlist = synthesize(&fsm, BistStructure::Pst);
         for model in all_models() {
             let faults = model.fault_list(&netlist, true);
-            let base = SelfTestConfig {
+            let base = CampaignConfig {
                 max_patterns: 1024,
                 seed: 0xD1_FF00 ^ seed,
                 ..Default::default()
             };
-            let packed = run_injection_campaign(
+            let packed = coverage(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
+                &CampaignConfig {
                     engine: SimEngine::Packed,
                     ..base.clone()
                 },
             );
-            let differential = run_injection_campaign(
+            let differential = coverage(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
+                &CampaignConfig {
                     engine: SimEngine::Differential,
                     ..base
                 },
@@ -239,16 +280,16 @@ fn differential_dictionary_matches_packed_on_random_controllers() {
             let netlist = synthesize(&fsm, structure);
             for model in all_models() {
                 let faults = model.fault_list(&netlist, true);
-                let base = SelfTestConfig {
+                let base = CampaignConfig {
                     max_patterns: 160 + 32 * (seed as usize % 3),
                     seed: 0xD1C7 ^ seed,
                     ..Default::default()
                 };
-                let packed = build_fault_dictionary(&netlist, &faults, &base);
-                let differential = build_fault_dictionary(
+                let packed = dictionary(&netlist, &faults, &base);
+                let differential = dictionary(
                     &netlist,
                     &faults,
-                    &SelfTestConfig {
+                    &CampaignConfig {
                         engine: SimEngine::Differential,
                         ..base.clone()
                     },
@@ -262,10 +303,10 @@ fn differential_dictionary_matches_packed_on_random_controllers() {
                 );
                 // The dictionary's first-detect column equals the campaign's
                 // detection pattern on the differential engine too.
-                let campaign = run_injection_campaign(
+                let campaign = coverage(
                     &netlist,
                     &faults,
-                    &SelfTestConfig {
+                    &CampaignConfig {
                         engine: SimEngine::Differential,
                         ..base
                     },
@@ -289,19 +330,19 @@ fn packed_matches_scalar_with_weighted_inputs() {
         let weights: Vec<f64> = (0..netlist.primary_inputs().len())
             .map(|i| 0.2 + 0.15 * (i as f64 + seed as f64))
             .collect();
-        let base = SelfTestConfig {
+        let base = CampaignConfig {
             max_patterns: 128,
             input_weights: Some(weights),
             ..Default::default()
         };
-        let scalar = run_self_test(
+        let scalar = stuck_at(
             &netlist,
-            &SelfTestConfig {
+            &CampaignConfig {
                 engine: SimEngine::Scalar,
                 ..base.clone()
             },
         );
-        let packed = run_self_test(&netlist, &base);
+        let packed = stuck_at(&netlist, &base);
         assert_eq!(scalar, packed, "seed {seed}");
     }
 }

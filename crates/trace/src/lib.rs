@@ -25,7 +25,7 @@
 //!   [`CampaignTelemetry`] as a Chrome Trace Event Format JSON file: a
 //!   `segments` lane with one slice per segment, a `phases` lane with the
 //!   per-segment phase spans laid out consecutively, and one lane per
-//!   worker of a [`SimEngine::Threaded`](stfsm::SimEngine::Threaded)
+//!   worker of a multi-worker [`SimEngine::Differential`](stfsm::SimEngine::Differential)
 //!   fan-out.  Open `chrome://tracing` (or <https://ui.perfetto.dev>) and
 //!   load the file to read the timeline.
 //!
@@ -237,14 +237,8 @@ fn thread_meta(tid: usize, name: &str) -> RawJson {
 /// the fixed order stimulus → good-trace → fault-eval → dictionary →
 /// observer; the engines measure phase *durations*, not offsets, so the
 /// layout is an approximation of when each phase ran (exact whenever the
-/// phases did not interleave, which they do not on the single-threaded
-/// engines).  Worker spans are anchored at their segment's fault-eval
+/// phases did not interleave, which they do not on one worker).  Worker spans are anchored at their segment's fault-eval
 /// start, which is where the fan-out actually begins.
-///
-/// A run with span timing disabled
-/// ([`CampaignConfig::telemetry`](stfsm::CampaignConfig) off) renders all
-/// slices at timestamp zero with zero duration — structurally valid, just
-/// empty of timing.
 pub fn chrome_trace(telemetry: &CampaignTelemetry) -> String {
     let mut events: Vec<RawJson> = Vec::new();
     events.push(thread_meta(TID_SEGMENTS, "segments"));

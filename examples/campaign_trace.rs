@@ -18,11 +18,12 @@
 //! cargo run --release --example campaign_trace [--patterns N] [--threads N] [benchmark]
 //! ```
 //!
-//! Defaults to the largest suite machine (`scf`) on the threaded
-//! event-driven engine, where the trace shows all the engine counters
-//! live: worklist drains, full-sweep fallbacks, per-word widenings and
-//! good-trace cache hits (the dictionary pass re-reads each segment's
-//! recording, so the cache shows traffic on both sides).
+//! Defaults to the largest suite machine (`scf`) on the event-driven
+//! differential engine with two workers (`--threads` picks another
+//! count), where the trace shows all the engine counters live: worklist
+//! drains, full-sweep fallbacks, per-word widenings and good-trace cache
+//! hits (the dictionary pass re-reads each segment's recording, so the
+//! cache shows traffic on both sides), plus one lane per worker.
 
 use std::io::BufWriter;
 use stfsm::testsim::campaign::{Campaign, DictionaryObserver};
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let patterns: usize = flag("--patterns")
         .and_then(|v| v.parse().ok())
         .unwrap_or(512);
-    let threads: Option<usize> = flag("--threads").and_then(|v| v.parse().ok());
+    let threads: usize = flag("--threads").and_then(|v| v.parse().ok()).unwrap_or(2);
     let value_positions: Vec<usize> = ["--patterns", "--threads"]
         .iter()
         .filter_map(|name| args.iter().position(|a| a == name).map(|i| i + 1))
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .netlist;
     let config = CampaignConfig {
         max_patterns: patterns,
-        engine: SimEngine::Threaded,
+        engine: SimEngine::Differential,
         threads,
         ..CampaignConfig::default()
     };

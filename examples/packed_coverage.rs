@@ -1,6 +1,7 @@
-//! The fault-simulation engine matrix, driven through the unified
-//! [`Campaign`] API: selecting Scalar, Packed, Differential, Threaded or
-//! Auto is one builder call, and every engine runs the identical campaign.
+//! The fault-simulation engine matrix, driven through the [`Campaign`]
+//! API: selecting Scalar, Packed, Differential or Auto, and the
+//! differential engine's worker count, is one builder call each, and every
+//! choice runs the identical campaign.
 //!
 //! ```text
 //! cargo run --release --example packed_coverage
@@ -12,20 +13,19 @@
 //! * `Scalar` simulates one fault at a time on the boolean simulator; it is
 //!   the differential-testing reference and the tool for stepping through a
 //!   single fault.
-//! * `Packed` (the default) treats one `u64` as 64 machines: lane 0 runs
-//!   the fault-free reference, lanes 1–63 carry one injected fault each, so
-//!   a chunk of 63 faults advances per word operation.  It is literally the
-//!   1-word instance of the same simulation core the differential engine
-//!   runs.
+//! * `Packed` treats one `u64` as 64 machines: lane 0 runs the fault-free
+//!   reference, lanes 1–63 carry one injected fault each, so a chunk of 63
+//!   faults advances per word operation.  It is literally the 1-word
+//!   instance of the same simulation core the differential engine runs.
 //! * `Differential` simulates the good machine once per pattern and packs
-//!   255 faults into 4-word lane blocks that evaluate only the plan steps
-//!   inside their faults' fanout cones — the bigger the netlist relative to
-//!   the average cone, the bigger the win.
-//! * `Threaded` shards the lane blocks over workers that all read one
-//!   shared good-machine trace per campaign segment; it needs a multi-core
-//!   host and a fault list spanning several blocks to pay off.
-//! * `Auto` picks Packed vs Differential per machine size, so callers who
-//!   do not want to care get the right engine anyway.
+//!   up to 511 faults into multi-word lane blocks that evaluate only the
+//!   plan steps inside their faults' fanout cones — the bigger the netlist
+//!   relative to the average cone, the bigger the win.  `.threads(n)`
+//!   shards its lane blocks over `n` workers that all read one shared
+//!   good-machine trace per campaign segment; that needs a multi-core host
+//!   and a fault list spanning several blocks to pay off.
+//! * `Auto` (the default) picks Packed vs Differential per machine size,
+//!   so callers who do not want to care get the right engine anyway.
 //!
 //! Engine selection is one `.engine(...)` call on the campaign builder (or
 //! a [`CampaignConfig`] field); no simulator is ever constructed by hand.
@@ -43,11 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = SynthesisFlow::new(BistStructure::Pst).synthesize(&fsm)?;
 
     let engines = [
-        ("scalar", SimEngine::Scalar),
-        ("packed", SimEngine::Packed),
-        ("differential", SimEngine::Differential),
-        ("threaded", SimEngine::Threaded),
-        ("auto", SimEngine::Auto),
+        ("scalar", SimEngine::Scalar, 1),
+        ("packed", SimEngine::Packed, 1),
+        ("differential", SimEngine::Differential, 1),
+        ("2 workers", SimEngine::Differential, 2),
+        ("auto", SimEngine::Auto, 1),
     ];
 
     println!(
@@ -62,13 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut reference: Option<CoverageResult> = None;
-    for (name, engine) in engines {
+    for (name, engine, threads) in engines {
         let mut coverage = CoverageObserver::new();
         let start = Instant::now();
         let outcome = result
             .campaign()
             .model(&stfsm::faults::StuckAt)
             .engine(engine)
+            .threads(threads)
             .patterns(4096)
             .observe(&mut coverage)
             .run();
@@ -93,7 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = reference.expect("at least one engine ran");
     println!("patterns applied   : {}", reference.patterns_applied);
     println!(
-        "all five engines returned identical results ({} detections)",
+        "all {} runs returned identical results ({} detections)",
+        engines.len(),
         reference.detected_faults
     );
     Ok(())

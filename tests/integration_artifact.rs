@@ -5,9 +5,9 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
+use stfsm::faults::Injection;
 use stfsm::testsim::artifact::{ArtifactError, DictionaryArtifact};
 use stfsm::testsim::dictionary::{DictionaryEntry, FaultDictionary};
-use stfsm::testsim::Injection;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("stfsm-artifact-it-{}-{tag}", std::process::id()));

@@ -27,7 +27,6 @@ fn quick_benchmarks_synthesize_for_pst_at_reduced_scale() {
     for info in quick_benchmarks().into_iter().take(4) {
         let fsm = info.fsm_scaled(0.5).unwrap();
         let result = SynthesisFlow::new(BistStructure::Pst)
-            .with_minimizer(config.minimizer.clone())
             .with_misr_config(config.misr.clone())
             .synthesize(&fsm)
             .unwrap();

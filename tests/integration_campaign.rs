@@ -1,37 +1,35 @@
-//! Integration tests of the unified campaign API: observers must be
-//! bit-for-bit equivalent to the legacy one-shot entry points across the
-//! whole benchmark suite × every fault model × every simulation engine,
-//! on randomized controllers, and total on degenerate campaigns — and the
-//! top-level diagnosis flow must resolve a known injected fault's
-//! signature on every suite machine.
+//! Integration tests of the campaign API: a multi-section campaign's
+//! observers must be bit-for-bit equivalent to one-section campaigns per
+//! fault model across the whole benchmark suite × every fault model ×
+//! every simulation engine, on randomized controllers, and total on
+//! degenerate campaigns — and the top-level diagnosis flow must resolve a
+//! known injected fault's signature on every suite machine.
 //!
-//! The suite netlists are synthesized once (natural assignment,
-//! single-pass minimizer) and shared; fault lists of the largest machines
-//! are strided down so the full matrix stays debug-build fast.
+//! The suite netlists are synthesized once (natural assignment) and
+//! shared; fault lists of the largest machines are strided down so the
+//! full matrix stays debug-build fast.
 
 use std::sync::OnceLock;
 use stfsm::bist::netlist::Netlist;
+use stfsm::faults::Injection;
 use stfsm::faults::{all_models, FaultModel};
 use stfsm::fsm::generate::small_random;
-use stfsm::logic::espresso::MinimizeConfig;
 use stfsm::testsim::campaign::{
     Campaign, CoverageObserver, CoverageTargetObserver, DictionaryObserver, TestLengthObserver,
 };
-use stfsm::testsim::coverage::{
-    run_injection_campaign, segment_schedule, CampaignConfig, SelfTestConfig, SimEngine,
-};
+use stfsm::testsim::coverage::{segment_schedule, CampaignConfig, CoverageResult, SimEngine};
 use stfsm::testsim::diagnosis::DiagnosisObserver;
-use stfsm::testsim::dictionary::build_fault_dictionary;
-use stfsm::testsim::Injection;
+use stfsm::testsim::dictionary::FaultDictionary;
 use stfsm::{AssignmentMethod, BistStructure, SynthesisFlow};
 
-/// Every engine of the matrix, including the size-resolved `Auto`.
-const ENGINES: [SimEngine; 5] = [
-    SimEngine::Scalar,
-    SimEngine::Packed,
-    SimEngine::Differential,
-    SimEngine::Threaded,
-    SimEngine::Auto,
+/// Every engine of the matrix, including the size-resolved `Auto`, with
+/// its worker count: the differential engine runs at one and at two.
+const ENGINES: [(SimEngine, usize); 5] = [
+    (SimEngine::Scalar, 1),
+    (SimEngine::Packed, 1),
+    (SimEngine::Differential, 1),
+    (SimEngine::Differential, 2),
+    (SimEngine::Auto, 1),
 ];
 
 /// Patterns per campaign: small enough for the debug-build matrix, large
@@ -50,13 +48,42 @@ fn suite_netlists() -> &'static Vec<(String, Netlist)> {
                 let fsm = info.fsm().expect("suite generator succeeds");
                 let result = SynthesisFlow::new(BistStructure::Pst)
                     .with_assignment(AssignmentMethod::Natural)
-                    .with_minimizer(MinimizeConfig::fast())
                     .synthesize(&fsm)
                     .expect("suite machine synthesizes");
                 (info.name.to_string(), result.netlist)
             })
             .collect()
     })
+}
+
+/// A one-section campaign over `faults` with no signature observer (the
+/// drop-on-detect pass).
+fn coverage_alone(
+    netlist: &Netlist,
+    faults: &[Injection],
+    config: &CampaignConfig,
+) -> CoverageResult {
+    Campaign::new(netlist)
+        .config(config.clone())
+        .faults("faults", faults.to_vec())
+        .run()
+        .coverage(0)
+}
+
+/// A one-section campaign over `faults` with a dictionary observer (the
+/// un-dropped signature pass).
+fn dictionary_alone(
+    netlist: &Netlist,
+    faults: &[Injection],
+    config: &CampaignConfig,
+) -> FaultDictionary {
+    let mut dictionaries = DictionaryObserver::new();
+    Campaign::new(netlist)
+        .config(config.clone())
+        .faults("faults", faults.to_vec())
+        .observe(&mut dictionaries)
+        .run();
+    dictionaries.into_dictionaries().remove(0)
 }
 
 /// The model's collapsed fault list, strided down to at most `cap` faults.
@@ -66,11 +93,12 @@ fn capped_faults(model: &dyn FaultModel, netlist: &Netlist, cap: usize) -> Vec<I
     faults.into_iter().step_by(stride).collect()
 }
 
-/// The campaign layer vs the legacy entry points, bit-for-bit: all 13
+/// Multi-section against one-section campaigns, bit-for-bit: all 13
 /// suite machines × 3 fault models × every engine.  One multi-section
 /// campaign per (machine, engine) carries coverage *and* dictionary
-/// observers through a single pass; its per-section results must equal the
-/// per-model legacy calls, and every engine must agree with the scalar
+/// observers through a single pass; its per-section results must equal
+/// one-section campaigns per model (a section's result does not depend on
+/// the other sections), and every engine must agree with the scalar
 /// reference.
 #[test]
 fn observers_match_legacy_across_suite_models_and_engines() {
@@ -86,10 +114,11 @@ fn observers_match_legacy_across_suite_models_and_engines() {
             })
             .collect();
         let mut scalar_reference: Option<Vec<Vec<Option<usize>>>> = None;
-        for engine in ENGINES {
+        for (engine, threads) in ENGINES {
             let config = CampaignConfig {
                 max_patterns: PATTERNS,
                 engine,
+                threads,
                 ..CampaignConfig::default()
             };
             let mut coverage = CoverageObserver::new();
@@ -104,29 +133,29 @@ fn observers_match_legacy_across_suite_models_and_engines() {
                 .run();
             assert_eq!(outcome.sections.len(), models.len(), "{name} {engine:?}");
 
-            let legacy_config: SelfTestConfig = config.clone().into();
             for (i, (label, faults)) in fault_lists.iter().enumerate() {
-                // Coverage observer == legacy coverage entry point.
-                let legacy = run_injection_campaign(netlist, faults, &legacy_config);
+                // Coverage observer == a one-section coverage campaign.
+                let single = coverage_alone(netlist, faults, &config);
                 assert_eq!(
                     &coverage.results()[i].1,
-                    &legacy,
-                    "coverage: {name} {label} {engine:?}"
+                    &single,
+                    "coverage: {name} {label} {engine:?} x{threads}"
                 );
-                // Dictionary observer == legacy dictionary entry point,
-                // and its first-detects == the coverage detection pattern
-                // (one un-dropped pass serves both observers).
-                let legacy_dictionary = build_fault_dictionary(netlist, faults, &legacy_config);
+                // Dictionary observer == a one-section dictionary
+                // campaign, and its first-detects == the coverage
+                // detection pattern (one un-dropped pass serves both
+                // observers).
+                let single_dictionary = dictionary_alone(netlist, faults, &config);
                 let dictionary = dictionaries.dictionaries()[i].1.as_ref();
                 assert_eq!(
-                    dictionary, &legacy_dictionary,
-                    "dictionary: {name} {label} {engine:?}"
+                    dictionary, &single_dictionary,
+                    "dictionary: {name} {label} {engine:?} x{threads}"
                 );
                 let first: Vec<Option<usize>> =
                     dictionary.entries.iter().map(|e| e.first_detect).collect();
                 assert_eq!(
-                    first, legacy.detection_pattern,
-                    "first-detect: {name} {label} {engine:?}"
+                    first, single.detection_pattern,
+                    "first-detect: {name} {label} {engine:?} x{threads}"
                 );
             }
 
@@ -139,29 +168,34 @@ fn observers_match_legacy_across_suite_models_and_engines() {
             match &scalar_reference {
                 None => scalar_reference = Some(patterns),
                 Some(reference) => {
-                    assert_eq!(reference, &patterns, "{name} {engine:?} vs scalar")
+                    assert_eq!(
+                        reference, &patterns,
+                        "{name} {engine:?} x{threads} vs scalar"
+                    )
                 }
             }
         }
     }
 }
 
-/// Randomized controllers: campaign observers equal the legacy calls for
-/// every model on freshly generated machines and varying configurations.
+/// Randomized controllers: a multi-section campaign's observers equal
+/// one-section campaigns for every model on freshly generated machines and
+/// varying configurations.
 #[test]
 fn observers_match_legacy_on_random_controllers() {
     for seed in 0..6u64 {
         let fsm = small_random(7100 + seed);
         let result = SynthesisFlow::new(BistStructure::Pst)
             .with_assignment(AssignmentMethod::Natural)
-            .with_minimizer(MinimizeConfig::fast())
             .synthesize(&fsm)
             .expect("random machine synthesizes");
         let netlist = &result.netlist;
+        let (engine, threads) = ENGINES[seed as usize % ENGINES.len()];
         let config = CampaignConfig {
             max_patterns: 64 + 32 * (seed as usize % 3),
             seed: 0xCA_4A1C ^ seed,
-            engine: ENGINES[seed as usize % ENGINES.len()],
+            engine,
+            threads,
             ..CampaignConfig::default()
         };
         let models = all_models();
@@ -175,18 +209,17 @@ fn observers_match_legacy_on_random_controllers() {
             .observe(&mut coverage)
             .observe(&mut dictionaries)
             .run();
-        let legacy_config: SelfTestConfig = config.into();
         for (i, model) in models.iter().enumerate() {
             let faults = model.fault_list(netlist, true);
             assert_eq!(
                 coverage.results()[i].1,
-                run_injection_campaign(netlist, &faults, &legacy_config),
+                coverage_alone(netlist, &faults, &config),
                 "seed {seed} {}",
                 model.name()
             );
             assert_eq!(
                 dictionaries.dictionaries()[i].1.as_ref(),
-                &build_fault_dictionary(netlist, &faults, &legacy_config),
+                &dictionary_alone(netlist, &faults, &config),
                 "seed {seed} {}",
                 model.name()
             );
@@ -199,12 +232,13 @@ fn observers_match_legacy_on_random_controllers() {
 #[test]
 fn degenerate_campaigns_are_total_on_every_engine() {
     let (_, netlist) = &suite_netlists()[0];
-    for engine in ENGINES {
+    for (engine, threads) in ENGINES {
         // Zero faults (with signatures requested).
         let mut coverage = CoverageObserver::new();
         let mut dictionaries = DictionaryObserver::new();
         let outcome = Campaign::new(netlist)
             .engine(engine)
+            .threads(threads)
             .patterns(16)
             .faults("empty", Vec::new())
             .observe(&mut coverage)
@@ -219,6 +253,7 @@ fn degenerate_campaigns_are_total_on_every_engine() {
         let mut coverage = CoverageObserver::new();
         let outcome = Campaign::new(netlist)
             .engine(engine)
+            .threads(threads)
             .patterns(0)
             .model(&stfsm::faults::StuckAt)
             .observe(&mut coverage)
@@ -229,7 +264,7 @@ fn degenerate_campaigns_are_total_on_every_engine() {
         assert_eq!(result.detected_faults, 0);
 
         // Zero observers, zero sections.
-        let outcome = Campaign::new(netlist).engine(engine).run();
+        let outcome = Campaign::new(netlist).engine(engine).threads(threads).run();
         assert!(outcome.sections.is_empty(), "{engine:?}");
     }
 }
@@ -312,17 +347,16 @@ fn early_stop_is_deterministic_across_engines_and_threads() {
     for (name, netlist) in suite_netlists() {
         let faults = capped_faults(&stfsm::faults::StuckAt, netlist, MAX_FAULTS);
         let mut reference: Option<(usize, Vec<Option<usize>>)> = None;
-        let mut check = |engine: SimEngine, threads: Option<usize>, label: String| {
+        let mut check = |engine: SimEngine, threads: usize| {
+            let label = format!("{name} {engine:?} x{threads}");
             let mut target = CoverageTargetObserver::new(TARGET);
-            let mut campaign = Campaign::new(netlist)
+            let outcome = Campaign::new(netlist)
                 .faults("stuck_at", faults.clone())
                 .engine(engine)
+                .threads(threads)
                 .patterns(BUDGET)
-                .observe(&mut target);
-            if let Some(threads) = threads {
-                campaign = campaign.threads(threads);
-            }
-            let outcome = campaign.run();
+                .observe(&mut target)
+                .run();
             // The stop boundary is a boundary of the pinned schedule.
             assert!(
                 segment_schedule(BUDGET).contains(&outcome.patterns_applied),
@@ -345,16 +379,10 @@ fn early_stop_is_deterministic_across_engines_and_threads() {
                 }
             }
         };
-        for engine in ENGINES {
-            check(engine, None, format!("{name} {engine:?}"));
+        for (engine, threads) in ENGINES {
+            check(engine, threads);
         }
-        for threads in [2usize, 5] {
-            check(
-                SimEngine::Threaded,
-                Some(threads),
-                format!("{name} Threaded x{threads}"),
-            );
-        }
+        check(SimEngine::Differential, 5);
     }
 }
 
@@ -391,18 +419,18 @@ fn early_stop_is_deterministic_on_random_controllers() {
         let fsm = small_random(9300 + seed);
         let result = SynthesisFlow::new(BistStructure::Pst)
             .with_assignment(AssignmentMethod::Natural)
-            .with_minimizer(MinimizeConfig::fast())
             .synthesize(&fsm)
             .expect("random machine synthesizes");
         let netlist = &result.netlist;
         let faults = stfsm::faults::StuckAt.fault_list(netlist, true);
         let mut reference: Option<(usize, Vec<Option<usize>>, usize)> = None;
-        for engine in ENGINES {
+        for (engine, threads) in ENGINES {
             // Coverage pass (drop-on-detect) with a stopper.
             let mut target = CoverageTargetObserver::new(0.6);
             let outcome = Campaign::new(netlist)
                 .faults("stuck_at", faults.clone())
                 .engine(engine)
+                .threads(threads)
                 .patterns(2048)
                 .observe(&mut target)
                 .run();
@@ -415,6 +443,7 @@ fn early_stop_is_deterministic_on_random_controllers() {
             let dict_outcome = Campaign::new(netlist)
                 .faults("stuck_at", faults.clone())
                 .engine(engine)
+                .threads(threads)
                 .patterns(2048)
                 .observe(&mut stopping)
                 .run();
@@ -463,15 +492,15 @@ fn stopper_plus_full_run_observer_runs_the_full_budget() {
         .run();
     assert!(target.reached(), "a 0 % target is trivially reached");
     assert_eq!(outcome.patterns_applied, 256, "full-run observer vetoes");
-    let legacy = run_injection_campaign(
+    let alone = coverage_alone(
         netlist,
         &faults,
-        &SelfTestConfig {
+        &CampaignConfig {
             max_patterns: 256,
             ..Default::default()
         },
     );
-    assert_eq!(coverage.result().unwrap(), &legacy);
+    assert_eq!(coverage.result().unwrap(), &alone);
 
     // The stopper alone does stop, and the test-length instrument agrees
     // with the full run's post-hoc metric.
@@ -482,36 +511,7 @@ fn stopper_plus_full_run_observer_runs_the_full_budget() {
         .observe(&mut observer)
         .run();
     if observer.test_length().is_some() {
-        assert_eq!(observer.test_length(), legacy.test_length_for_coverage(0.5));
+        assert_eq!(observer.test_length(), alone.test_length_for_coverage(0.5));
         assert!(outcome.patterns_applied <= 256);
     }
-}
-
-/// `SelfTestConfig` stays a lossless compatibility shell around
-/// `CampaignConfig`.
-#[test]
-fn config_conversions_roundtrip() {
-    let campaign = CampaignConfig {
-        max_patterns: 123,
-        seed: 77,
-        input_weights: Some(vec![0.25, 0.75]),
-        stimulation: None,
-        engine: SimEngine::Threaded,
-        threads: Some(3),
-        ..CampaignConfig::default()
-    };
-    let selftest: SelfTestConfig = campaign.clone().into();
-    assert_eq!(selftest.max_patterns, 123);
-    assert_eq!(selftest.seed, 77);
-    assert!(selftest.collapse_faults);
-    assert_eq!(selftest.fault_sample, 1);
-    let back: CampaignConfig = (&selftest).into();
-    assert_eq!(back, campaign);
-    assert_eq!(selftest.campaign(), campaign);
-    assert_eq!(selftest.effective_threads(), 3);
-    // Default shells agree.
-    assert_eq!(
-        SelfTestConfig::default().campaign(),
-        CampaignConfig::default()
-    );
 }

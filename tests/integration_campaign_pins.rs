@@ -2,13 +2,13 @@
 //!
 //! The campaigns have the shapes of perfbench's grading workloads: one
 //! campaign per netlist with one section per fault model (`all_models()`,
-//! collapsed lists), `SimEngine::Auto`, the default seed and a fixed thread
-//! count.
+//! collapsed lists), `SimEngine::Auto` and the default seed.
 //!
 //! * small: the 11 suite machines below the `Auto` crossover × the four
-//!   structures, 4096 patterns (the packed engine);
+//!   structures, 4096 patterns (the packed engine, one worker);
 //! * large: planet and scf × DFF and PST, 512 patterns (the differential
-//!   engine).
+//!   engine), each at one and at two workers against the same pins: the
+//!   worker count changes neither the results nor the work.
 //!
 //! Each campaign pins an FNV-1a digest of every section's per-fault
 //! first-detect cycles and eight deterministic work counters.  An engine
@@ -22,8 +22,6 @@ use stfsm::{BistStructure, Campaign, CampaignOutcome, CoverageObserver, SimEngin
 
 /// The two suite machines at or above the `Auto` crossover.
 const LARGE_MACHINES: [&str; 2] = ["planet", "scf"];
-/// Worker threads of every campaign.
-const THREADS: usize = 2;
 
 /// `(machine, structure, first-detect digest, counters)`.  The counters are,
 /// in order: fault cycles, events drained, full sweeps, event cycles, steps
@@ -136,11 +134,12 @@ fn counters(outcome: &CampaignOutcome) -> [u64; 8] {
 }
 
 /// Grades every `structure` netlist of the suite machines `keep` selects
-/// and checks the campaigns against `pinned`.
+/// on `threads` workers and checks the campaigns against `pinned`.
 fn check(
     keep: impl Fn(&str) -> bool,
     structures: &[BistStructure],
     patterns: usize,
+    threads: usize,
     pinned: &[Pin],
 ) {
     let models = all_models();
@@ -156,7 +155,7 @@ fn check(
             let mut campaign = Campaign::new(&netlist)
                 .engine(SimEngine::Auto)
                 .patterns(patterns)
-                .threads(THREADS);
+                .threads(threads);
             for model in &models {
                 campaign = campaign.faults(model.name(), model.fault_list(&netlist, true));
             }
@@ -179,7 +178,7 @@ fn check(
         .collect();
     assert!(
         actual.iter().eq(expected.iter().copied()),
-        "campaign results or work moved; the pins of this build are:\n{table}"
+        "campaign results or work moved at {threads} workers; the pins of this build are:\n{table}"
     );
 }
 
@@ -189,26 +188,33 @@ fn small_grading_campaigns_match_their_pins() {
         |name| !LARGE_MACHINES.contains(&name),
         &BistStructure::ALL,
         4096,
+        1,
         SMALL,
     );
 }
 
 #[test]
 fn planet_grading_campaigns_match_their_pins() {
-    check(
-        |name| name == "planet",
-        &[BistStructure::Dff, BistStructure::Pst],
-        512,
-        LARGE,
-    );
+    for threads in [1, 2] {
+        check(
+            |name| name == "planet",
+            &[BistStructure::Dff, BistStructure::Pst],
+            512,
+            threads,
+            LARGE,
+        );
+    }
 }
 
 #[test]
 fn scf_grading_campaigns_match_their_pins() {
-    check(
-        |name| name == "scf",
-        &[BistStructure::Dff, BistStructure::Pst],
-        512,
-        LARGE,
-    );
+    for threads in [1, 2] {
+        check(
+            |name| name == "scf",
+            &[BistStructure::Dff, BistStructure::Pst],
+            512,
+            threads,
+            LARGE,
+        );
+    }
 }

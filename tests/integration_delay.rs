@@ -3,9 +3,9 @@
 //! campaign stack.
 //!
 //! * **Engine identity** — detection patterns and full dictionaries are
-//!   bit-for-bit identical across all five engines (scalar, packed,
-//!   differential at every block width, threaded at several worker
-//!   counts, auto), on the whole benchmark suite and on randomized
+//!   bit-for-bit identical across every engine (scalar, packed,
+//!   differential at every block width and at several worker counts,
+//!   auto), on the whole benchmark suite and on randomized
 //!   controllers, with and without two-pattern input pairing.
 //! * **Crash safety** — a campaign over delay faults killed at *any*
 //!   segment boundary and resumed from its checkpoint reproduces the
@@ -21,7 +21,6 @@ use std::sync::{Arc, OnceLock};
 use stfsm::bist::netlist::Netlist;
 use stfsm::faults::{FaultModel, Injection, MultiCycleDelay, PathDelay};
 use stfsm::fsm::generate::{controller, ControllerSpec};
-use stfsm::logic::espresso::MinimizeConfig;
 use stfsm::testsim::artifact::DictionaryArtifact;
 use stfsm::testsim::campaign::{
     Campaign, CampaignObserver, CampaignOutcome, DictionaryObserver, ObserverControl,
@@ -43,14 +42,14 @@ const MAX_FAULTS: usize = 72;
 
 /// Every non-scalar engine configuration that must match the scalar
 /// reference: `(label, engine, block_words, threads)`.
-const ENGINE_MATRIX: [(&str, SimEngine, Option<usize>, Option<usize>); 7] = [
-    ("packed", SimEngine::Packed, None, None),
-    ("diff-w1", SimEngine::Differential, Some(1), None),
-    ("diff-w4", SimEngine::Differential, Some(4), None),
-    ("diff-w8", SimEngine::Differential, Some(8), None),
-    ("threaded-1", SimEngine::Threaded, None, Some(1)),
-    ("threaded-5", SimEngine::Threaded, Some(8), Some(5)),
-    ("auto", SimEngine::Auto, None, None),
+const ENGINE_MATRIX: [(&str, SimEngine, Option<usize>, usize); 7] = [
+    ("packed", SimEngine::Packed, None, 1),
+    ("diff-w1", SimEngine::Differential, Some(1), 1),
+    ("diff-w4", SimEngine::Differential, Some(4), 1),
+    ("diff-w8", SimEngine::Differential, Some(8), 1),
+    ("diff", SimEngine::Differential, None, 1),
+    ("diff-w8-x5", SimEngine::Differential, Some(8), 5),
+    ("auto", SimEngine::Auto, None, 1),
 ];
 
 fn suite_netlists() -> &'static Vec<(String, Netlist)> {
@@ -62,7 +61,6 @@ fn suite_netlists() -> &'static Vec<(String, Netlist)> {
                 let fsm = info.fsm().expect("suite generator succeeds");
                 let result = SynthesisFlow::new(BistStructure::Pst)
                     .with_assignment(AssignmentMethod::Natural)
-                    .with_minimizer(MinimizeConfig::fast())
                     .synthesize(&fsm)
                     .expect("suite machine synthesizes");
                 (info.name.to_string(), result.netlist)
@@ -91,7 +89,7 @@ fn delay_faults(netlist: &Netlist) -> Vec<Injection> {
 fn config_for(
     seed: u64,
     paired: bool,
-    (_, engine, block_words, threads): (&str, SimEngine, Option<usize>, Option<usize>),
+    (_, engine, block_words, threads): (&str, SimEngine, Option<usize>, usize),
 ) -> CampaignConfig {
     CampaignConfig {
         max_patterns: PATTERNS,
@@ -173,7 +171,6 @@ fn engines_match_scalar_on_random_controllers() {
         let fsm = controller(&spec).expect("controller generates");
         let netlist = SynthesisFlow::new(BistStructure::Dff)
             .with_assignment(AssignmentMethod::Natural)
-            .with_minimizer(MinimizeConfig::fast())
             .synthesize(&fsm)
             .expect("controller synthesizes")
             .netlist;
@@ -227,7 +224,7 @@ fn resume_from_any_boundary_matches_uninterrupted() {
     let faults = delay_faults(netlist);
     let boundaries = segment_schedule(PATTERNS);
     for cell in [
-        ("scalar", SimEngine::Scalar, None, None),
+        ("scalar", SimEngine::Scalar, None, 1),
         ENGINE_MATRIX[0],
         ENGINE_MATRIX[3],
         ENGINE_MATRIX[6],

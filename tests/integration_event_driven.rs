@@ -1,8 +1,7 @@
-//! Integration tests of the event-driven differential rework: every
-//! combination of the scheduling knobs (event-driven worklist vs v1
-//! full-cone sweep, per-word vs per-block widening) and every lane-block
-//! width `W ∈ {1, 4, 8}` must produce detection patterns and dictionaries
-//! bit-for-bit identical to the scalar reference — across the whole
+//! Integration tests of the event-driven differential engine: every
+//! lane-block width `W ∈ {1, 4, 8}` and more than one worker must produce
+//! detection patterns and dictionaries bit-for-bit identical to the
+//! scalar reference — across the whole
 //! benchmark suite, on randomized controllers whose DFF structure keeps
 //! faulty register state diverged over long sequences, and under early
 //! stop.  Lazy stimulus generation is pinned down by a regression test:
@@ -11,12 +10,11 @@
 
 use std::sync::OnceLock;
 use stfsm::bist::netlist::Netlist;
+use stfsm::faults::Injection;
 use stfsm::faults::{all_models, FaultModel, StuckAt};
 use stfsm::fsm::generate::small_random;
-use stfsm::logic::espresso::MinimizeConfig;
 use stfsm::testsim::campaign::{Campaign, CampaignOutcome, CoverageTargetObserver};
 use stfsm::testsim::coverage::{CampaignConfig, SimEngine};
-use stfsm::testsim::Injection;
 use stfsm::{AssignmentMethod, BistStructure, SynthesisFlow};
 
 /// Patterns per suite campaign (debug-build friendly).
@@ -25,32 +23,27 @@ const PATTERNS: usize = 48;
 /// Cap per fault list; larger lists are strided down.
 const MAX_FAULTS: usize = 96;
 
-/// The tuning matrix: `(label, engine, events, per_word, block_words)`.
-/// Covers the v1 sweep, each mechanism alone, the full event-driven
-/// default, every block width and the threaded sharding on the widest
-/// blocks.
-const TUNINGS: [(&str, SimEngine, bool, bool, Option<usize>); 7] = [
-    ("v1-sweep", SimEngine::Differential, false, false, None),
-    ("events-only", SimEngine::Differential, true, false, None),
-    ("per-word-only", SimEngine::Differential, false, true, None),
-    ("event-driven", SimEngine::Differential, true, true, None),
-    ("w1", SimEngine::Differential, true, true, Some(1)),
-    ("w8", SimEngine::Differential, true, true, Some(8)),
-    ("threaded-w8", SimEngine::Threaded, true, true, Some(8)),
+/// The differential matrix: `(label, block_words, threads)`.  Covers the
+/// width resolved from the fault count, every explicit block width and
+/// two workers sharding the widest blocks.
+const TUNINGS: [(&str, Option<usize>, usize); 4] = [
+    ("event-driven", None, 1),
+    ("w1", Some(1), 1),
+    ("w8", Some(8), 1),
+    ("w8-x2", Some(8), 2),
 ];
 
 fn tuned_config(
     max_patterns: usize,
     seed: u64,
-    (_, engine, events, per_word, block_words): (&str, SimEngine, bool, bool, Option<usize>),
+    (_, block_words, threads): (&str, Option<usize>, usize),
 ) -> CampaignConfig {
     CampaignConfig {
         max_patterns,
         seed,
-        engine,
-        differential_events: events,
-        per_word_widening: per_word,
+        engine: SimEngine::Differential,
         block_words,
+        threads,
         ..CampaignConfig::default()
     }
 }
@@ -64,7 +57,6 @@ fn suite_netlists() -> &'static Vec<(String, Netlist)> {
                 let fsm = info.fsm().expect("suite generator succeeds");
                 let result = SynthesisFlow::new(BistStructure::Pst)
                     .with_assignment(AssignmentMethod::Natural)
-                    .with_minimizer(MinimizeConfig::fast())
                     .synthesize(&fsm)
                     .expect("suite machine synthesizes");
                 (info.name.to_string(), result.netlist)
@@ -110,7 +102,7 @@ fn run_dictionary(
         .expect("one section yields one dictionary")
 }
 
-/// Every knob combination and block width equals the scalar reference —
+/// Every block width and worker count equals the scalar reference —
 /// detection patterns *and* full dictionaries (signatures, checkpoint
 /// segments, reference) — on all 13 suite machines.
 #[test]
@@ -146,14 +138,13 @@ fn tuning_matrix_matches_scalar_across_the_suite() {
 /// register state diverges and *stays* diverged over long sequences
 /// (functional stimulation never reloads it), exercising the per-word
 /// widening and re-narrowing paths.  Every model's full fault list, every
-/// knob combination, every width — all bit-for-bit against scalar.
+/// width and worker count — all bit-for-bit against scalar.
 #[test]
 fn tuning_matrix_matches_scalar_on_random_dff_controllers() {
     for seed in 0..4u64 {
         let fsm = small_random(9200 + seed);
         let result = SynthesisFlow::new(BistStructure::Dff)
             .with_assignment(AssignmentMethod::Natural)
-            .with_minimizer(MinimizeConfig::fast())
             .synthesize(&fsm)
             .expect("random machine synthesizes");
         let netlist = &result.netlist;
@@ -182,7 +173,8 @@ fn tuning_matrix_matches_scalar_on_random_dff_controllers() {
 }
 
 /// The campaign resolves the block width from the fault count and reports
-/// it in the plan; explicit overrides snap to the supported widths.
+/// it in the plan; an explicit width is used as given, and validation
+/// rejects any width but 1, 4 and 8 before a campaign runs.
 #[test]
 fn resolved_block_width_scales_with_the_fault_count() {
     let config = CampaignConfig::default();
@@ -192,11 +184,19 @@ fn resolved_block_width_scales_with_the_fault_count() {
     assert_eq!(config.resolved_block_words(255), 4);
     assert_eq!(config.resolved_block_words(256), 8);
     assert_eq!(config.resolved_block_words(100_000), 8);
-    let snapped = CampaignConfig {
+    for words in [1, 4, 8] {
+        let explicit = CampaignConfig {
+            block_words: Some(words),
+            ..CampaignConfig::default()
+        };
+        assert_eq!(explicit.resolved_block_words(100_000), words);
+        assert!(explicit.validate().is_ok());
+    }
+    let unsupported = CampaignConfig {
         block_words: Some(3),
         ..CampaignConfig::default()
     };
-    assert_eq!(snapped.resolved_block_words(100_000), 4);
+    assert!(unsupported.validate().is_err());
 }
 
 /// The lazy-stimulus regression of the rework's acceptance criteria: an
@@ -211,7 +211,6 @@ fn early_stop_generates_stimulus_only_for_applied_segments() {
         .fsm()
         .expect("scf generator succeeds");
     let netlist = SynthesisFlow::new(BistStructure::Dff)
-        .with_minimizer(MinimizeConfig::fast())
         .synthesize(&fsm)
         .expect("scf synthesizes")
         .netlist;
@@ -241,7 +240,6 @@ fn full_runs_generate_exactly_the_budget() {
         .fsm()
         .expect("dk16 generator succeeds");
     let netlist = SynthesisFlow::new(BistStructure::Pst)
-        .with_minimizer(MinimizeConfig::fast())
         .synthesize(&fsm)
         .expect("dk15 synthesizes")
         .netlist;

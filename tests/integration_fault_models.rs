@@ -1,13 +1,24 @@
 //! Cross-crate integration tests of the fault-model subsystem: for every
 //! benchmark of the quick suite and every fault model, the scalar, packed
-//! and multi-threaded engines must produce identical `CoverageResult`s; the
-//! fault dictionary must agree with the campaign; degenerate campaigns must
-//! be total.
+//! and multi-worker differential engines must produce identical
+//! `CoverageResult`s; the fault dictionary must agree with the campaign;
+//! degenerate campaigns must be total.
 
-use stfsm::faults::{all_models, Bridging, FaultModel, Injection, StuckAt, TransitionDelay};
-use stfsm::testsim::coverage::{run_injection_campaign, run_self_test, SelfTestConfig, SimEngine};
-use stfsm::testsim::dictionary::build_fault_dictionary;
-use stfsm::{BistStructure, SynthesisFlow};
+use stfsm::bist::netlist::Netlist;
+use stfsm::faults::{
+    all_models, Bridging, FaultList, FaultModel, Injection, StuckAt, TransitionDelay,
+};
+use stfsm::testsim::coverage::{CampaignConfig, CoverageResult, SimEngine};
+use stfsm::{BistStructure, Campaign, DictionaryObserver, SynthesisFlow};
+
+/// A one-section coverage campaign over `faults`.
+fn coverage(netlist: &Netlist, faults: &[Injection], config: &CampaignConfig) -> CoverageResult {
+    Campaign::new(netlist)
+        .config(config.clone())
+        .faults("faults", faults.to_vec())
+        .run()
+        .coverage(0)
+}
 
 fn quick_netlists() -> Vec<(String, stfsm::bist::netlist::Netlist)> {
     let mut netlists = Vec::new();
@@ -24,13 +35,13 @@ fn quick_netlists() -> Vec<(String, stfsm::bist::netlist::Netlist)> {
     netlists
 }
 
-/// The satellite differential guarantee: scalar vs packed vs multi-threaded
-/// on every model across the benchmark suite.
+/// The satellite differential guarantee: scalar vs packed vs five-worker
+/// differential on every model across the benchmark suite.
 #[test]
 fn every_engine_agrees_for_every_model_across_the_suite() {
-    let config = SelfTestConfig {
+    let config = CampaignConfig {
         max_patterns: 128,
-        ..SelfTestConfig::default()
+        ..CampaignConfig::default()
     };
     for (name, netlist) in quick_netlists() {
         for model in all_models() {
@@ -41,28 +52,28 @@ fn every_engine_agrees_for_every_model_across_the_suite() {
                 name,
                 model.name()
             );
-            let scalar = run_injection_campaign(
+            let scalar = coverage(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
+                &CampaignConfig {
                     engine: SimEngine::Scalar,
                     ..config.clone()
                 },
             );
-            let packed = run_injection_campaign(
+            let packed = coverage(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
+                &CampaignConfig {
                     engine: SimEngine::Packed,
                     ..config.clone()
                 },
             );
-            let threaded = run_injection_campaign(
+            let threaded = coverage(
                 &netlist,
                 &faults,
-                &SelfTestConfig {
-                    engine: SimEngine::Threaded,
-                    threads: Some(5),
+                &CampaignConfig {
+                    engine: SimEngine::Differential,
+                    threads: 5,
                     ..config.clone()
                 },
             );
@@ -84,21 +95,23 @@ fn every_engine_agrees_for_every_model_across_the_suite() {
     }
 }
 
-/// The stuck-at model reproduces the classic `run_self_test` numbers
-/// bit-for-bit (same fault order, same engine, same result).
+/// The stuck-at model enumerates exactly the classic stuck-at universe:
+/// `FaultList::collapsed` or `FaultList::full`, in the same order.
 #[test]
 fn stuck_at_model_matches_the_classic_self_test() {
     for (name, netlist) in quick_netlists() {
         for collapse in [true, false] {
-            let config = SelfTestConfig {
-                max_patterns: 256,
-                collapse_faults: collapse,
-                ..SelfTestConfig::default()
+            let classic = if collapse {
+                FaultList::collapsed(&netlist)
+            } else {
+                FaultList::full(&netlist)
             };
-            let classic = run_self_test(&netlist, &config);
-            let faults = StuckAt.fault_list(&netlist, collapse);
-            let campaign = run_injection_campaign(&netlist, &faults, &config);
-            assert_eq!(classic, campaign, "{name} collapse={collapse}");
+            let classic: Vec<Injection> = classic.faults().iter().map(|&f| f.into()).collect();
+            assert_eq!(
+                StuckAt.fault_list(&netlist, collapse),
+                classic,
+                "{name} collapse={collapse}"
+            );
         }
     }
 }
@@ -112,23 +125,23 @@ fn threaded_results_are_independent_of_the_thread_count() {
         .expect("synthesis succeeds")
         .netlist;
     let faults = TransitionDelay.fault_list(&netlist, true);
-    let reference = run_injection_campaign(
+    let reference = coverage(
         &netlist,
         &faults,
-        &SelfTestConfig {
+        &CampaignConfig {
             max_patterns: 256,
-            ..SelfTestConfig::default()
+            ..CampaignConfig::default()
         },
     );
     for threads in [1, 2, 3, 7, 16, 64] {
-        let threaded = run_injection_campaign(
+        let threaded = coverage(
             &netlist,
             &faults,
-            &SelfTestConfig {
+            &CampaignConfig {
                 max_patterns: 256,
-                engine: SimEngine::Threaded,
-                threads: Some(threads),
-                ..SelfTestConfig::default()
+                engine: SimEngine::Differential,
+                threads,
+                ..CampaignConfig::default()
             },
         );
         assert_eq!(reference, threaded, "{threads} threads");
@@ -144,14 +157,20 @@ fn dictionaries_agree_with_campaigns() {
         .synthesize(&fsm)
         .expect("synthesis succeeds")
         .netlist;
-    let config = SelfTestConfig {
-        max_patterns: 256,
-        ..SelfTestConfig::default()
-    };
     for model in all_models() {
         let faults = model.fault_list(&netlist, true);
-        let campaign = run_injection_campaign(&netlist, &faults, &config);
-        let dictionary = build_fault_dictionary(&netlist, &faults, &config);
+        let campaign = Campaign::new(&netlist)
+            .patterns(256)
+            .faults("faults", faults.clone())
+            .run()
+            .coverage(0);
+        let mut dictionaries = DictionaryObserver::new();
+        Campaign::new(&netlist)
+            .patterns(256)
+            .faults("faults", faults.clone())
+            .observe(&mut dictionaries)
+            .run();
+        let dictionary = dictionaries.dictionary().expect("one section");
         assert_eq!(dictionary.entries.len(), faults.len());
         for (entry, expected) in dictionary.entries.iter().zip(&campaign.detection_pattern) {
             assert_eq!(entry.first_detect, *expected, "{}", model.name());
@@ -168,26 +187,30 @@ fn degenerate_campaigns_return_zero_coverage() {
         .synthesize(&fsm)
         .expect("synthesis succeeds")
         .netlist;
-    for engine in [SimEngine::Scalar, SimEngine::Packed, SimEngine::Threaded] {
-        let no_patterns = run_self_test(
-            &netlist,
-            &SelfTestConfig {
-                max_patterns: 0,
-                engine,
-                ..SelfTestConfig::default()
-            },
-        );
+    for (engine, threads) in [
+        (SimEngine::Scalar, 1),
+        (SimEngine::Packed, 1),
+        (SimEngine::Differential, 2),
+    ] {
+        let no_patterns = Campaign::new(&netlist)
+            .engine(engine)
+            .threads(threads)
+            .patterns(0)
+            .model(&StuckAt)
+            .run()
+            .coverage(0);
         assert_eq!(no_patterns.detected_faults, 0);
         assert_eq!(no_patterns.fault_coverage(), 0.0);
         assert!(no_patterns.test_length_for_coverage(0.9).is_none());
 
-        let no_faults = run_injection_campaign(
+        let no_faults = coverage(
             &netlist,
             &[],
-            &SelfTestConfig {
+            &CampaignConfig {
                 max_patterns: 32,
                 engine,
-                ..SelfTestConfig::default()
+                threads,
+                ..CampaignConfig::default()
             },
         );
         assert_eq!(no_faults.total_faults, 0);

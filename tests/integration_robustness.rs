@@ -30,23 +30,22 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use stfsm::bist::netlist::Netlist;
-use stfsm::faults::{FaultModel, StuckAt};
-use stfsm::logic::espresso::MinimizeConfig;
+use stfsm::faults::{FaultModel, Injection, StuckAt};
 use stfsm::testsim::campaign::{
     Campaign, CampaignObserver, CampaignOutcome, CoverageObserver, ObserverControl, SegmentSnapshot,
 };
 use stfsm::testsim::coverage::{segment_schedule, CampaignConfig, SimEngine};
 use stfsm::testsim::failpoints::{arm, ChaosObserver, ChaosPlan};
-use stfsm::testsim::Injection;
 use stfsm::{AssignmentMethod, BistStructure, CampaignError, ObserverPhase, SynthesisFlow};
 
-/// Every engine of the matrix, including the size-resolved `Auto`.
-const ENGINES: [SimEngine; 5] = [
-    SimEngine::Scalar,
-    SimEngine::Packed,
-    SimEngine::Differential,
-    SimEngine::Threaded,
-    SimEngine::Auto,
+/// Every engine of the matrix, including the size-resolved `Auto`, with
+/// its worker count: the differential engine runs at one and at two.
+const ENGINES: [(SimEngine, usize); 5] = [
+    (SimEngine::Scalar, 1),
+    (SimEngine::Packed, 1),
+    (SimEngine::Differential, 1),
+    (SimEngine::Differential, 2),
+    (SimEngine::Auto, 1),
 ];
 
 /// Pattern budget: three segments of the pinned doubling schedule
@@ -67,7 +66,6 @@ fn suite_netlists() -> &'static Vec<(String, Netlist)> {
                 let fsm = info.fsm().expect("suite generator succeeds");
                 let result = SynthesisFlow::new(BistStructure::Pst)
                     .with_assignment(AssignmentMethod::Natural)
-                    .with_minimizer(MinimizeConfig::fast())
                     .synthesize(&fsm)
                     .expect("suite machine synthesizes");
                 (info.name.to_string(), result.netlist)
@@ -176,6 +174,14 @@ fn config_for(engine: SimEngine) -> CampaignConfig {
     }
 }
 
+/// [`config_for`] an entry of [`ENGINES`].
+fn config_on((engine, threads): (SimEngine, usize)) -> CampaignConfig {
+    CampaignConfig {
+        threads,
+        ..config_for(engine)
+    }
+}
+
 /// Runs the kill-and-resume check for one (netlist, faults, engine,
 /// boundary) cell: a checkpointing run stopped at boundary `k` must leave
 /// a checkpoint from which a fresh campaign resumes to an outcome
@@ -184,7 +190,7 @@ fn check_resume(
     name: &str,
     netlist: &Netlist,
     faults: &[Injection],
-    engine: SimEngine,
+    engine: (SimEngine, usize),
     k: usize,
     signatures: bool,
     full: &CampaignOutcome,
@@ -203,7 +209,7 @@ fn check_resume(
         StopAt::new(k)
     };
     let interrupted = Campaign::new(netlist)
-        .config(config_for(engine))
+        .config(config_on(engine))
         .faults("stuck-at", faults.to_vec())
         .checkpoint_to(&path)
         .observe(&mut stop)
@@ -229,7 +235,7 @@ fn check_resume(
     // finish the budget and match the uninterrupted run bit-for-bit.
     let mut witness = StopAt::witness();
     let mut resumed = Campaign::new(netlist)
-        .config(config_for(engine))
+        .config(config_on(engine))
         .faults("stuck-at", faults.to_vec())
         .resume_from(&path);
     if signatures {
@@ -254,7 +260,7 @@ fn resume_matches_uninterrupted_detect_pass_across_suite_and_engines() {
         let faults = capped_faults(netlist, MAX_FAULTS);
         for engine in ENGINES {
             let full = Campaign::new(netlist)
-                .config(config_for(engine))
+                .config(config_on(engine))
                 .faults("stuck-at", faults.clone())
                 .try_run()
                 .unwrap_or_else(|e| panic!("full run failed: {name} {engine:?}: {e}"));
@@ -277,7 +283,7 @@ fn resume_matches_uninterrupted_signature_pass_across_suite_and_engines() {
         for engine in ENGINES {
             let mut witness = StopAt::witness();
             let full = Campaign::new(netlist)
-                .config(config_for(engine))
+                .config(config_on(engine))
                 .faults("stuck-at", faults.clone())
                 .observe(&mut witness)
                 .try_run()
@@ -314,7 +320,7 @@ proptest! {
         let faults = capped_faults(netlist, MAX_FAULTS);
         let config = CampaignConfig {
             seed,
-            ..config_for(engine)
+            ..config_on(engine)
         };
         let mut witness = StopAt::witness();
         let mut full = Campaign::new(netlist)
@@ -383,7 +389,7 @@ fn resume_of_an_early_stopped_campaign_replays_the_stop() {
             // Reference: the early-stopped run, no checkpointing.
             let mut stop = make_stop();
             let reference = Campaign::new(netlist)
-                .config(config_for(engine))
+                .config(config_on(engine))
                 .faults("stuck-at", faults.clone())
                 .observe(&mut stop)
                 .try_run()
@@ -394,7 +400,7 @@ fn resume_of_an_early_stopped_campaign_replays_the_stop() {
             let path = scratch(&format!("stop-{name}-{engine:?}-{signatures}"));
             let mut stop = make_stop();
             Campaign::new(netlist)
-                .config(config_for(engine))
+                .config(config_on(engine))
                 .faults("stuck-at", faults.clone())
                 .checkpoint_to(&path)
                 .observe(&mut stop)
@@ -406,7 +412,7 @@ fn resume_of_an_early_stopped_campaign_replays_the_stop() {
             // assembled from the checkpoint without further simulation.
             let mut stop = make_stop();
             let resumed = Campaign::new(netlist)
-                .config(config_for(engine))
+                .config(config_on(engine))
                 .faults("stuck-at", faults.clone())
                 .resume_from(&path)
                 .observe(&mut stop)
@@ -420,7 +426,7 @@ fn resume_of_an_early_stopped_campaign_replays_the_stop() {
 }
 
 /// Injected worker panics are recovered by the quarantined re-run:
-/// results stay bit-for-bit identical to a clean threaded run, the
+/// results stay bit-for-bit identical to a clean multi-worker run, the
 /// recoveries are counted, and none of it surfaces as an incident.
 #[test]
 fn injected_worker_panics_are_recovered_without_changing_results() {
@@ -432,12 +438,12 @@ fn injected_worker_panics_are_recovered_without_changing_results() {
         "need more than one 63-lane block for a real fan-out"
     );
     // Narrow lane blocks (63 fault lanes) so 96 faults split into two
-    // shards — the threaded fan-out only spawns workers when there is
+    // shards — the differential fan-out only spawns workers when there is
     // more than one block to hand out.
     let config = CampaignConfig {
-        threads: Some(4),
+        threads: 4,
         block_words: Some(1),
-        ..config_for(SimEngine::Threaded)
+        ..config_for(SimEngine::Differential)
     };
     for signatures in [false, true] {
         let context = format!("{name} signatures={signatures}");
@@ -775,7 +781,7 @@ fn checkpoints_resume_across_engines() {
 
     for engine in ENGINES {
         let resumed = Campaign::new(netlist)
-            .config(config_for(engine))
+            .config(config_on(engine))
             .faults("stuck-at", faults.clone())
             .resume_from(&path)
             .try_run()

@@ -119,7 +119,7 @@ impl<'a> SeedSimulator<'a> {
 
 /// Runs the seed's full scalar campaign (system-state stimulation, i.e. the
 /// PST test mode) and returns the detection pattern, exactly as the seed's
-/// `run_self_test` computed it for a PST netlist.
+/// scalar self-test computed it for a PST netlist.
 ///
 /// `stimulus` is the flat `(pi, st)` sequence per cycle.
 fn seed_scalar_detection(

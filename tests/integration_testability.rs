@@ -2,22 +2,33 @@
 //! self-test per structure, reachability preservation of the PST structure,
 //! and the relative test-length behaviour.
 
+use stfsm::bist::netlist::Netlist;
 use stfsm::experiments::{coverage_comparison, ExperimentConfig};
+use stfsm::faults::{FaultList, Injection, StuckAt};
 use stfsm::fsm::suite::{fig3_example, modulo12_exact, quick_benchmarks, traffic_light};
 use stfsm::lfsr::Misr;
-use stfsm::testsim::coverage::{run_self_test, SelfTestConfig, SimEngine, StateStimulation};
-use stfsm::{BistStructure, SynthesisFlow};
+use stfsm::testsim::coverage::{CampaignConfig, CoverageResult, SimEngine, StateStimulation};
+use stfsm::{BistStructure, Campaign, SynthesisFlow};
+
+/// The collapsed stuck-at campaign over `netlist`.
+fn stuck_at(netlist: &Netlist, config: CampaignConfig) -> CoverageResult {
+    Campaign::new(netlist)
+        .config(config)
+        .model(&StuckAt)
+        .run()
+        .coverage(0)
+}
 
 #[test]
 fn self_test_reaches_high_stuck_at_coverage_on_small_machines() {
     for fsm in [fig3_example().unwrap(), modulo12_exact().unwrap()] {
         for structure in [BistStructure::Dff, BistStructure::Pst] {
             let result = SynthesisFlow::new(structure).synthesize(&fsm).unwrap();
-            let campaign = run_self_test(
+            let campaign = stuck_at(
                 &result.netlist,
-                &SelfTestConfig {
+                CampaignConfig {
                     max_patterns: 1024,
-                    ..SelfTestConfig::default()
+                    ..CampaignConfig::default()
                 },
             );
             assert!(
@@ -50,25 +61,22 @@ fn packed_engine_matches_scalar_on_every_suite_machine_and_structure() {
                 // overlappable transition chain); nothing to compare then.
                 continue;
             };
-            let base = SelfTestConfig {
-                max_patterns: 192,
-                fault_sample: 2,
-                ..SelfTestConfig::default()
+            let faults: Vec<Injection> = FaultList::collapsed(&result.netlist)
+                .sampled(2)
+                .faults()
+                .iter()
+                .map(|&f| f.into())
+                .collect();
+            let run = |engine| {
+                Campaign::new(&result.netlist)
+                    .engine(engine)
+                    .patterns(192)
+                    .faults("stuck_at", faults.clone())
+                    .run()
+                    .coverage(0)
             };
-            let scalar = run_self_test(
-                &result.netlist,
-                &SelfTestConfig {
-                    engine: SimEngine::Scalar,
-                    ..base.clone()
-                },
-            );
-            let packed = run_self_test(
-                &result.netlist,
-                &SelfTestConfig {
-                    engine: SimEngine::Packed,
-                    ..base
-                },
-            );
+            let scalar = run(SimEngine::Scalar);
+            let packed = run(SimEngine::Packed);
             assert_eq!(
                 scalar,
                 packed,
@@ -132,16 +140,16 @@ fn pst_needs_no_more_patterns_than_its_own_random_state_variant_by_a_bounded_fac
     let result = SynthesisFlow::new(BistStructure::Pst)
         .synthesize(&fsm)
         .unwrap();
-    let base = SelfTestConfig {
+    let base = CampaignConfig {
         max_patterns: 4096,
-        ..SelfTestConfig::default()
+        ..CampaignConfig::default()
     };
-    let system = run_self_test(&result.netlist, &base);
-    let random = run_self_test(
+    let system = stuck_at(&result.netlist, base.clone());
+    let random = stuck_at(
         &result.netlist,
-        &SelfTestConfig {
+        CampaignConfig {
             stimulation: Some(StateStimulation::RandomState),
-            ..base.clone()
+            ..base
         },
     );
     let target = 0.90;
